@@ -185,15 +185,28 @@ let test_degraded_compile () =
     (counters.Prims.eliminated_checks >= 1)
 
 let test_degraded_cost_model () =
+  (* through the Table 2 backend, which meters both disciplines *)
   let r = partial_report () in
-  let counters = Prims.new_counters () in
-  let degraded = Pipeline.degraded_pred r in
-  let env = Cycles.initial_env ~degraded Prims.Unchecked counters in
-  let env = Cycles.run_program env r.Pipeline.rp_tprog in
-  Alcotest.(check bool) "ok = 7" true (Cycles.lookup env "ok" = Value.Vint 7);
-  Alcotest.(check bool) "caught = -1" true (Cycles.lookup env "caught" = Value.Vint (-1));
-  Alcotest.(check int) "residual checks counted" 2 counters.Prims.dynamic_checks;
-  Alcotest.(check bool) "residual checks cost cycles" true (counters.Prims.cycles > 0)
+  let run (ex : Backend.exec) ~scale:_ =
+    Alcotest.(check bool) "ok = 7" true (ex.Backend.lookup "ok" = Value.Vint 7);
+    Alcotest.(check bool) "caught = -1" true (ex.Backend.lookup "caught" = Value.Vint (-1));
+    ""
+  in
+  let rq =
+    {
+      Backend.rq_name = "partial";
+      rq_tprog = r.Pipeline.rp_tprog;
+      rq_degraded = Some (Pipeline.degraded_pred r);
+      rq_scale = 1;
+      rq_run = run;
+      rq_native_driver = None;
+    }
+  in
+  match Backend.cost_model.Backend.b_measure rq with
+  | Error msg -> Alcotest.fail msg
+  | Ok m ->
+      Alcotest.(check int) "residual checks counted" 2 m.Backend.ms_residual;
+      Alcotest.(check bool) "residual checks cost cycles" true (m.Backend.ms_unchecked > 0.)
 
 let test_fully_proven_unaffected () =
   (* a fully proven program has no degraded site: the predicate is constant

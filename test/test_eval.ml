@@ -13,27 +13,26 @@ type backend = {
   run : Prims.mode -> ?counters:Prims.counters -> Dml_mltype.Tast.tprogram -> string -> Value.t;
 }
 
-let interp_backend =
-  {
-    b_name = "interp";
-    run =
-      (fun mode ?counters tprog name ->
-        let env = Interp.initial_env (Prims.table mode ?counters ()) in
-        let env = Interp.run_program env tprog in
-        Interp.lookup env name);
-  }
-
 let compiled_backend =
   {
     b_name = "compiled";
     run =
       (fun mode ?counters tprog name ->
-        let ce = Compile.initial (Prims.table mode ?counters ()) in
+        let ce = Compile.initial_fast mode ?counters () in
         let ce = Compile.run_program ce tprog in
         Compile.lookup ce name);
   }
 
-let backends = [ interp_backend; compiled_backend ]
+(* the Table 2 cost model: the same compiler, always metered *)
+let cost_model_backend =
+  {
+    b_name = "cost model";
+    run =
+      (fun mode ?(counters = Prims.new_counters ()) tprog name ->
+        compiled_backend.run mode ~counters tprog name);
+  }
+
+let backends = [ compiled_backend; cost_model_backend ]
 
 let value = Alcotest.testable Value.pp Value.equal
 
@@ -73,7 +72,13 @@ val x = twice inc 5
     {|
 fun adder(n) = fn m => n + m
 val x = adder(10) 32
-|} "x" (Vint 42)
+|} "x" (Vint 42);
+  (* a user function named like a primitive shadows it: calls must not be
+     compiled as direct primitive calls *)
+  both "shadowed primitive" {|
+fun max(a, b) = a
+val r = max(1, 2)
+|} "r" (Vint 1)
 
 let test_recursion () =
   both "factorial"
@@ -232,10 +237,10 @@ val result = (fill(a); sumall(a))
 |}
   in
   let tprog = typecheck "agree" src in
-  let v1 = interp_backend.run Prims.Checked tprog "result" in
-  let v2 = compiled_backend.run Prims.Checked tprog "result" in
+  let v1 = compiled_backend.run Prims.Checked tprog "result" in
+  let v2 = cost_model_backend.run Prims.Checked tprog "result" in
   let v3 = compiled_backend.run Prims.Unchecked tprog "result" in
-  Alcotest.check value "interp = compiled" v1 v2;
+  Alcotest.check value "compiled = cost model" v1 v2;
   Alcotest.check value "checked = unchecked" v1 v3
 
 let test_match_failure () =
@@ -248,7 +253,6 @@ val f = head
       let f = b.run Prims.Checked tprog "f" in
       match as_fun f (Vcon ("nil", None)) with
       | _ -> Alcotest.fail "expected a match failure"
-      | exception Interp.Match_failure_dml _ -> ()
       | exception Compile.Match_failure_dml _ -> ())
     backends
 

@@ -18,13 +18,6 @@ type backend = { b_name : string; run : Prims.mode -> Dml_mltype.Tast.tprogram -
 let backends =
   [
     {
-      b_name = "interp";
-      run =
-        (fun mode tprog name ->
-          let env = Interp.initial_env (Prims.table mode ()) in
-          Interp.lookup (Interp.run_program env tprog) name);
-    };
-    {
       b_name = "compiled";
       run =
         (fun mode tprog name ->
@@ -32,11 +25,11 @@ let backends =
           Compile.lookup (Compile.run_program ce tprog) name);
     };
     {
-      b_name = "cycles";
+      b_name = "cost model";
       run =
         (fun mode tprog name ->
-          let env = Cycles.initial_env mode (Prims.new_counters ()) in
-          Cycles.lookup (Cycles.run_program env tprog) name);
+          let ce = Compile.initial_fast mode ~counters:(Prims.new_counters ()) () in
+          Compile.lookup (Compile.run_program ce tprog) name);
     };
   ]
 

@@ -12,20 +12,17 @@ let typecheck name src =
   | Ok r -> r.Pipeline.rp_tprog
   | Error msg -> Alcotest.failf "%s: %s" name msg
 
-let run_compiled tprog name =
-  let ce = Compile.initial_fast Prims.Checked () in
+let run_compiled ?counters tprog name =
+  let ce = Compile.initial_fast Prims.Checked ?counters () in
   Compile.lookup (Compile.run_program ce tprog) name
-
-let run_interp tprog name =
-  let env = Interp.initial_env (Prims.table Prims.Checked ()) in
-  Interp.lookup (Interp.run_program env tprog) name
 
 let value = Alcotest.testable Value.pp Value.equal
 
 let both name src binding expected =
   let tprog = typecheck name src in
   Alcotest.check value (name ^ " (compiled)") expected (run_compiled tprog binding);
-  Alcotest.check value (name ^ " (interp)") expected (run_interp tprog binding)
+  Alcotest.check value (name ^ " (cost model)") expected
+    (run_compiled ~counters:(Prims.new_counters ()) tprog binding)
 
 let test_basic () =
   both "create, read, write" {|
