@@ -100,7 +100,7 @@ let solve_config =
 
 (* [--cache-dir] implies caching; a bare [--cache] keeps the memo table
    in-process only.  [cache_spec_term] yields the configuration (plain data:
-   what session options carry and worker pools ship); [cache_term] builds
+   what session options carry and the worker pool ships); [cache_term] builds
    the cache object for callers that share one across sessions. *)
 let cache_spec_term ~default_on =
   let cache =

@@ -147,9 +147,8 @@ let check_cmd =
    only schedule-independent fields, so it is byte-identical across -j
    widths; the text table keeps the volatile timing/cache columns. *)
 let batch_parallel ~config ~cache_spec ~jobs ~shard ~repeat ~infer ~obs targets =
-  let jobs_n = if jobs <= 0 then Dml_par.Pool.cpu_count () else jobs in
   let options =
-    session_options ~jobs:jobs_n ~shard_obligations:shard ~infer ~solve:config ~cache_spec ()
+    session_options ~jobs ~shard_obligations:shard ~infer ~solve:config ~cache_spec ()
   in
   let resolved =
     List.map
@@ -187,8 +186,9 @@ let batch_parallel ~config ~cache_spec ~jobs ~shard ~repeat ~infer ~obs targets 
                       s.Dml_par.Runner.sm_cache_misses s.Dml_par.Runner.sm_solve_s
                       s.Dml_par.Runner.sm_gen_s)
               rows;
-            Format.printf "pass %d: %d program(s), %d failed; goals=%d; jobs=%d%s@." pass
-              (List.length rows) !agg_fail !agg_goals jobs_n
+            Format.printf "pass %d: %d program(s), %d failed; goals=%d; jobs=%s%s@." pass
+              (List.length rows) !agg_fail !agg_goals
+              (if jobs > 0 then string_of_int jobs else "per-core")
               (if shard then " (obligation-sharded)" else "")
           end;
           List.iter
@@ -536,7 +536,6 @@ let table_jobs_term =
        core); rows are merged back in benchmark order."
 
 let pooled_rows ~jobs ~row_of_benchmark =
-  let jobs = if jobs <= 0 then Dml_par.Pool.cpu_count () else jobs in
   let names =
     List.map (fun b -> b.Dml_programs.Programs.name) Dml_programs.Programs.table_benchmarks
   in

@@ -78,7 +78,8 @@ type report = {
 
     {!check_s} is the one-call front door; the three stages below are exposed
     so the parallel executor ({!Dml_par.Runner}) can run the front end in
-    the parent process, ship individual obligations to worker processes
+    the parent process, ship individual obligations to {!Dml_par.Pool}
+    workers
     (obligations are plain data and survive [Marshal]), and reassemble the
     same report from the merged results. *)
 

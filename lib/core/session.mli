@@ -10,7 +10,8 @@
     {!Dml_core.Pipeline.check_s} (and friends) for every check it governs.
 
     {!options} is the plain-data half (marshallable, JSON-serializable,
-    fingerprintable): what crosses a process boundary to worker pools, what
+    fingerprintable): what crosses a process boundary to a
+    {!Dml_par.Pool} worker (batch [-j] and [dmld -j] alike), what
     a [dmld] client may override per request, and what keys program-level
     memoization.  {!t} is the stateful half: the options plus the
     long-lived warm resources built from them (the shared verdict cache, an

@@ -237,6 +237,16 @@ let rec emit_pat ctx (p : Tast.tpat) : string * string list =
       let con = if Hashtbl.mem ctx.exns c then mangle_exn c else mangle_con c in
       (fmt "(%s (%s))" con txt, names)
 
+(* Operands that can neither cause nor observe an effect. *)
+let rec atomic (e : Tast.texp) =
+  match e.Tast.tdesc with
+  | Tast.TEint _ | Tast.TEbool _ | Tast.TEchar _ | Tast.TEstring _ | Tast.TEvar _
+  | Tast.TEcon (_, _, None) | Tast.TEfn _ ->
+      true
+  | Tast.TEannot (inner, _) | Tast.TEcon (_, _, Some inner) -> atomic inner
+  | Tast.TEtuple es -> List.for_all atomic es
+  | _ -> false
+
 let rec emit_exp ctx bound (e : Tast.texp) : string =
   match e.Tast.tdesc with
   | Tast.TEint n -> if n < 0 then fmt "(%d)" n else string_of_int n
@@ -255,7 +265,7 @@ let rec emit_exp ctx bound (e : Tast.texp) : string =
       let con = if Hashtbl.mem ctx.exns c then mangle_exn c else mangle_con c in
       fmt "(%s (%s))" con (emit_exp ctx bound arg)
   | Tast.TEtuple [] -> "()"
-  | Tast.TEtuple es -> "(" ^ String.concat ", " (List.map (emit_exp ctx bound) es) ^ ")"
+  | Tast.TEtuple es -> in_order ctx bound es (fun ts -> "(" ^ String.concat ", " ts ^ ")")
   | Tast.TEapp (f, a) -> (
       (* saturated primitive applications lower to direct n-ary code, the
          calling convention [Compile]'s fast table models *)
@@ -265,18 +275,21 @@ let rec emit_exp ctx bound (e : Tast.texp) : string =
             let checked = ctx.mode = Prims.Checked || ctx.degraded e.Tast.tloc in
             match (prim_arity x, a.Tast.tdesc) with
             | Some 1, _ -> Some (direct ctx ~checked x [ emit_exp ctx bound a ])
-            | Some 2, Tast.TEtuple [ e1; e2 ] ->
-                Some (direct ctx ~checked x [ emit_exp ctx bound e1; emit_exp ctx bound e2 ])
-            | Some 3, Tast.TEtuple [ e1; e2; e3 ] ->
-                Some
-                  (direct ctx ~checked x
-                     [ emit_exp ctx bound e1; emit_exp ctx bound e2; emit_exp ctx bound e3 ])
+            | Some 2, Tast.TEtuple ([ _; _ ] as es) | Some 3, Tast.TEtuple ([ _; _; _ ] as es) ->
+                Some (in_order ctx bound es (direct ctx ~checked x))
             | _ -> None)
         | _ -> None
       in
       match direct_txt with
       | Some txt -> txt
-      | None -> fmt "(%s %s)" (emit_exp ctx bound f) (emit_exp ctx bound a))
+      | None -> (
+          match a.Tast.tdesc with
+          | Tast.TEtuple (_ :: _ as es) ->
+              (* the tuple stays syntactic at the call, where OCaml passes it
+                 to a tupled function without allocating it *)
+              in_order ctx bound (f :: es) (fun ts ->
+                  fmt "(%s (%s))" (List.hd ts) (String.concat ", " (List.tl ts)))
+          | _ -> in_order ctx bound [ f; a ] (fun ts -> "(" ^ String.concat " " ts ^ ")")))
   | Tast.TEif (c, t, f) ->
       fmt "(if %s then %s else %s)" (emit_exp ctx bound c) (emit_exp ctx bound t)
         (emit_exp ctx bound f)
@@ -300,6 +313,22 @@ let rec emit_exp ctx bound (e : Tast.texp) : string =
   | Tast.TEraise inner -> fmt "(raise %s)" (emit_exp ctx bound inner)
   | Tast.TEhandle (body, arms) ->
       fmt "(try %s with %s)" (emit_exp ctx bound body) (emit_arms ctx bound arms)
+
+(* [k] over the operands' texts, evaluated left to right as SML requires.
+   OCaml evaluates arguments and tuple components right to left, so when
+   two or more operands may have effects, those are let-bound in source
+   order first. *)
+and in_order ctx bound es k =
+  let txts = List.map (emit_exp ctx bound) es in
+  if List.length (List.filter (fun e -> not (atomic e)) es) < 2 then k txts
+  else
+    let ops =
+      List.mapi
+        (fun i (e, txt) ->
+          if atomic e then ("", txt) else (fmt "let dml_o%d = %s in " i txt, fmt "dml_o%d" i))
+        (List.combine es txts)
+    in
+    "(" ^ String.concat "" (List.map fst ops) ^ k (List.map snd ops) ^ ")"
 
 and emit_arms ctx bound arms =
   String.concat " "

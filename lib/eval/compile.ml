@@ -145,7 +145,8 @@ let rec compile info cenv (e : Tast.texp) : renv -> Value.t =
   | None -> tick info (node_cost e) (compile_node info cenv e)
 
 (* A saturated application of a (non-shadowed) primitive compiles to a
-   direct n-ary call. *)
+   direct n-ary call.  Operands are let-bound so they evaluate left to
+   right, as SML requires (OCaml evaluates arguments right to left). *)
 and direct_call info cenv (e : Tast.texp) =
   match e.Tast.tdesc with
   | Tast.TEapp ({ Tast.tdesc = Tast.TEvar (x, _); _ }, a) -> begin
@@ -158,12 +159,12 @@ and direct_call info cenv (e : Tast.texp) =
               Some (fun renv -> g (ca renv))
           | Prims.F2 g, Tast.TEtuple [ e1; e2 ] ->
               let c1 = compile info cenv e1 and c2 = compile info cenv e2 in
-              Some (fun renv -> g (c1 renv) (c2 renv))
+              Some (fun renv -> let v1 = c1 renv in g v1 (c2 renv))
           | Prims.F3 g, Tast.TEtuple [ e1; e2; e3 ] ->
               let c1 = compile info cenv e1
               and c2 = compile info cenv e2
               and c3 = compile info cenv e3 in
-              Some (fun renv -> g (c1 renv) (c2 renv) (c3 renv))
+              Some (fun renv -> let v1 = c1 renv in let v2 = c2 renv in g v1 v2 (c3 renv))
           | _ -> None)
       | _ -> None
     end
@@ -202,7 +203,8 @@ and compile_node info cenv (e : Tast.texp) : renv -> Value.t =
   | Tast.TEapp (f, a) ->
       let cf = compile info cenv f in
       let ca = compile info cenv a in
-      fun renv -> as_fun (cf renv) (ca renv)
+      (* the function before the argument *)
+      fun renv -> let fv = cf renv in as_fun fv (ca renv)
   | Tast.TEif (c, t, f) ->
       let cc = compile info cenv c in
       let ct = compile info cenv t in

@@ -42,8 +42,8 @@ val reset : unit -> unit
 
 type export
 (** A serializable image of the registry: plain data, safe to [Marshal]
-    across a process boundary.  The worker pool ({!Dml_par.Pool}) ships one
-    per task so the parent's registry accounts for all solver work done in
+    across a process boundary.  The worker pool ({!Dml_par.Pool}, behind
+    both [dmlc -j] and [dmld -j]) ships one per task so the parent's registry accounts for all solver work done in
     worker processes. *)
 
 val export : unit -> export

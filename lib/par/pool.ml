@@ -11,6 +11,7 @@ let error_to_string = function
   | Timed_out s -> Printf.sprintf "task timed out after %.1fs" s
 
 let cpu_count () = Domain.recommended_domain_count ()
+let resolve_jobs jobs = if jobs <= 0 then cpu_count () else jobs
 
 (* One reply per task.  Alongside the value it carries the worker's
    observability for that task: the metrics delta (the worker resets its
@@ -79,262 +80,284 @@ let worker_main f task_fd reply_fd =
 (* Parent                                                              *)
 (* ------------------------------------------------------------------ *)
 
-type wstate = {
-  ws_pid : int;
-  ws_to : Unix.file_descr;  (* parent writes task frames *)
-  ws_from : Unix.file_descr;  (* parent reads reply frames *)
-  mutable ws_task : int option;  (* index of the in-flight task *)
-  mutable ws_started : float;
-  mutable ws_deadline : float option;
-  mutable ws_alive : bool;
+type 'task job = {
+  j_id : int;
+  j_task : 'task;
+  j_submitted : float;
+  mutable j_attempts : int;  (** failed attempts so far *)
+  mutable j_not_before : float;  (** retry backoff gate *)
 }
 
-let run ?jobs ?task_timeout_ms ~worker tasks =
-  if tasks = [] then []
-  else begin
-    let tasks_arr = Array.of_list tasks in
-    let n_tasks = Array.length tasks_arr in
-    let n_workers =
-      let j = match jobs with Some j -> j | None -> cpu_count () in
-      max 1 (min j n_tasks)
-    in
-    let results = Array.make n_tasks None in
-    let completed = ref 0 in
-    (* the task queue: fresh indices in order, plus a front-of-queue stack of
-       tasks bounced off a worker that died before reading them *)
-    let requeued = ref [] in
-    let next = ref 0 in
-    let take_task () =
-      match !requeued with
-      | i :: rest ->
-          requeued := rest;
-          Some i
-      | [] ->
-          if !next < n_tasks then begin
-            let i = !next in
-            incr next;
-            Some i
-          end
-          else None
-    in
-    let put_back i = requeued := i :: !requeued in
-    let tasks_remain () = !requeued <> [] || !next < n_tasks in
-    (* crash-looping tasks must terminate: each replacement fork spends from
-       this budget, and when it is gone the rest of the queue degrades *)
-    let respawns_left = ref (2 * n_workers) in
-    let workers : wstate option array = Array.make n_workers None in
-    (* fds the parent holds for other workers; a child must close its copies
-       or the parent's close-for-EOF shutdown never reaches those workers *)
-    let parent_fds () =
-      Array.to_list workers
-      |> List.concat_map (function
-           | Some w when w.ws_alive -> [ w.ws_to; w.ws_from ]
-           | _ -> [])
-    in
-    let spawn () =
-      let inherited = parent_fds () in
-      let tr, tw = Unix.pipe () in
-      let rr, rw = Unix.pipe () in
-      flush_std ();
-      match Unix.fork () with
-      | 0 ->
-          List.iter close_quiet inherited;
-          close_quiet tw;
-          close_quiet rr;
-          (try worker_main worker tr rw with _ -> ());
-          Unix._exit 1
-      | pid ->
-          close_quiet tr;
-          close_quiet rw;
-          {
-            ws_pid = pid;
-            ws_to = tw;
-            ws_from = rr;
-            ws_task = None;
-            ws_started = 0.;
-            ws_deadline = None;
-            ws_alive = true;
-          }
-    in
-    let reap w =
-      w.ws_alive <- false;
-      close_quiet w.ws_to;
-      close_quiet w.ws_from;
-      match Unix.waitpid [] w.ws_pid with
-      | _, status -> describe_status status
-      | exception Unix.Unix_error _ -> "unknown status"
-    in
-    let fail_task w err =
-      (match w.ws_task with
-      | Some i ->
-          results.(i) <- Some (Error err);
-          incr completed
-      | None -> ());
-      w.ws_task <- None;
-      w.ws_deadline <- None
-    in
-    let maybe_respawn idx =
-      if tasks_remain () && !respawns_left > 0 then begin
-        decr respawns_left;
-        workers.(idx) <- Some (spawn ())
+type 'task wstate = {
+  w_pid : int;
+  w_to : Unix.file_descr;  (* parent writes task frames *)
+  w_from : Unix.file_descr;  (* parent reads reply frames *)
+  mutable w_job : 'task job option;
+  mutable w_deadline : float option;
+  mutable w_alive : bool;
+}
+
+type counts = { dispatched : int; retries : int; respawned : int; timeouts : int; lost : int }
+
+type ('task, 'result) t = {
+  p_worker : 'task -> 'result;
+  p_timeout_ms : int option;
+  p_workers : 'task wstate array;
+  p_fresh : 'task job Queue.t;  (** submitted, never attempted *)
+  mutable p_retry : 'task job list;  (** bounced off a dead or hung worker, run next *)
+  mutable p_next_id : int;
+  mutable p_zombies : int list;  (** killed or exited pids not yet reaped *)
+  mutable p_finished : (int * 'result outcome) list;
+      (** finished but not yet handed out, newest first *)
+  mutable p_counts : counts;
+}
+
+let retry_backoff_s = 0.05
+
+let workers t = Array.length t.p_workers
+let timeout_ms t = t.p_timeout_ms
+let counts t = t.p_counts
+
+let in_flight t =
+  Array.fold_left (fun n w -> if w.w_alive && w.w_job <> None then n + 1 else n) 0 t.p_workers
+
+let queued t = Queue.length t.p_fresh + List.length t.p_retry
+
+let fds t =
+  Array.to_list t.p_workers |> List.filter_map (fun w -> if w.w_alive then Some w.w_from else None)
+
+let spawn t =
+  (* fds the parent holds for other workers: a child must close its copies,
+     or the parent's close-for-EOF shutdown never reaches those workers *)
+  let inherited =
+    Array.to_list t.p_workers
+    |> List.concat_map (fun w -> if w.w_alive then [ w.w_to; w.w_from ] else [])
+  in
+  let tr, tw = Unix.pipe () in
+  let rr, rw = Unix.pipe () in
+  flush_std ();
+  match Unix.fork () with
+  | 0 ->
+      List.iter close_quiet inherited;
+      close_quiet tw;
+      close_quiet rr;
+      (try worker_main t.p_worker tr rw with _ -> ());
+      Unix._exit 1
+  | pid ->
+      close_quiet tr;
+      close_quiet rw;
+      { w_pid = pid; w_to = tw; w_from = rr; w_job = None; w_deadline = None; w_alive = true }
+
+let create ~jobs ?timeout_ms ~worker () =
+  (* a dead placeholder, so [spawn] sees no live siblings yet *)
+  let vacant =
+    { w_pid = 0; w_to = Unix.stdin; w_from = Unix.stdin; w_job = None; w_deadline = None; w_alive = false }
+  in
+  let t =
+    {
+      p_worker = worker;
+      p_timeout_ms = timeout_ms;
+      p_workers = Array.make (resolve_jobs jobs) vacant;
+      p_fresh = Queue.create ();
+      p_retry = [];
+      p_next_id = 0;
+      p_zombies = [];
+      p_finished = [];
+      p_counts = { dispatched = 0; retries = 0; respawned = 0; timeouts = 0; lost = 0 };
+    }
+  in
+  Array.iteri (fun i _ -> t.p_workers.(i) <- spawn t) t.p_workers;
+  t
+
+(* SIGCHLD-safe reaping: always [WNOHANG] against the specific pid — never
+   a wait for any child, which could steal the exit status of another
+   pool's workers in the same process — with unfinished pids parked on the
+   zombie list and retried every step. *)
+let reap_zombies t =
+  t.p_zombies <-
+    List.filter
+      (fun pid ->
+        match Unix.waitpid [ Unix.WNOHANG ] pid with
+        | 0, _ -> true
+        | _ -> false
+        | exception Unix.Unix_error _ -> false)
+      t.p_zombies
+
+(* Retire a worker and fork its replacement.  [kill] reclaims a hung one;
+   the returned text describes how the old process ended. *)
+let replace t idx ~kill =
+  let w = t.p_workers.(idx) in
+  w.w_alive <- false;
+  close_quiet w.w_to;
+  close_quiet w.w_from;
+  if kill then (try Unix.kill w.w_pid Sys.sigkill with Unix.Unix_error _ -> ());
+  t.p_counts <- { t.p_counts with respawned = t.p_counts.respawned + 1 };
+  t.p_workers.(idx) <- spawn t;
+  match Unix.waitpid [ Unix.WNOHANG ] w.w_pid with
+  | 0, _ ->
+      t.p_zombies <- w.w_pid :: t.p_zombies;
+      "crashed"
+  | _, status -> describe_status status
+  | exception Unix.Unix_error _ -> "crashed"
+
+let finish t id outcome = t.p_finished <- (id, outcome) :: t.p_finished
+
+(* A write to a dead worker must surface as EPIPE, not kill the parent. *)
+let send fd v =
+  let old = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  Fun.protect ~finally:(fun () -> Sys.set_signal Sys.sigpipe old) (fun () -> Frame.write fd v)
+
+(* Feed idle workers: backed-off retries first once their gate opens, then
+   fresh tasks.  A write that fails means the worker died while idle: the
+   task never reached it, so it is not an attempt — requeue it without
+   penalty and respawn. *)
+let rec assign t now =
+  let take () =
+    match t.p_retry with
+    | j :: rest when j.j_not_before <= now ->
+        t.p_retry <- rest;
+        Some j
+    | _ -> Queue.take_opt t.p_fresh
+  in
+  let progressed = ref false in
+  Array.iteri
+    (fun idx w ->
+      if w.w_alive && w.w_job = None then
+        Option.iter
+          (fun j ->
+            match send w.w_to j.j_task with
+            | () ->
+                t.p_counts <- { t.p_counts with dispatched = t.p_counts.dispatched + 1 };
+                w.w_job <- Some j;
+                w.w_deadline <-
+                  Option.map (fun ms -> now +. (float_of_int ms /. 1000.)) t.p_timeout_ms
+            | exception Unix.Unix_error _ ->
+                t.p_retry <- j :: t.p_retry;
+                ignore (replace t idx ~kill:false);
+                progressed := true)
+          (take ()))
+    t.p_workers;
+  if !progressed then assign t now
+
+(* A failed attempt: the worker is replaced, and its task's first crash or
+   hang earns one retry after a short backoff (behind other bounced tasks,
+   ahead of fresh ones); the second is the task's outcome. *)
+let fail t now idx kind =
+  let job = t.p_workers.(idx).w_job in
+  let status = replace t idx ~kill:(kind = `Hang) in
+  Option.iter
+    (fun j ->
+      j.j_attempts <- j.j_attempts + 1;
+      if j.j_attempts = 1 then begin
+        t.p_counts <- { t.p_counts with retries = t.p_counts.retries + 1 };
+        j.j_not_before <- now +. retry_backoff_s;
+        t.p_retry <- t.p_retry @ [ j ]
       end
-    in
-    let assign () =
-      Array.iteri
-        (fun idx slot ->
-          match slot with
-          | Some w when w.ws_alive && w.ws_task = None -> (
-              match take_task () with
-              | None -> ()
-              | Some i -> (
-                  match Frame.write w.ws_to tasks_arr.(i) with
-                  | () ->
-                      w.ws_task <- Some i;
-                      w.ws_started <- Clock.now ();
-                      w.ws_deadline <-
-                        Option.map
-                          (fun ms -> w.ws_started +. (float_of_int ms /. 1000.))
-                          task_timeout_ms
-                  | exception Unix.Unix_error _ ->
-                      (* the worker died while idle; the task never reached it *)
-                      put_back i;
-                      ignore (reap w);
-                      maybe_respawn idx))
-          | _ -> ())
-        workers
-    in
-    let cleanup () =
-      Array.iter
-        (function
-          | Some w when w.ws_alive ->
-              close_quiet w.ws_to;
-              (* normal completion leaves every worker idle, and an idle
-                 worker exits on EOF; a worker still mid-task here means we
-                 are unwinding on an exception — don't wait for it *)
-              if w.ws_task <> None then (
-                try Unix.kill w.ws_pid Sys.sigkill with Unix.Unix_error _ -> ());
-              (try ignore (Unix.waitpid [] w.ws_pid) with Unix.Unix_error _ -> ());
-              close_quiet w.ws_from
-          | _ -> ())
-        workers
-    in
-    (* a write to a dead worker must surface as EPIPE, not kill the parent *)
-    let old_sigpipe =
-      try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore) with Invalid_argument _ -> None
-    in
+      else if kind = `Hang then begin
+        t.p_counts <- { t.p_counts with timeouts = t.p_counts.timeouts + 1 };
+        finish t j.j_id (Error (Timed_out (now -. j.j_submitted)))
+      end
+      else begin
+        t.p_counts <- { t.p_counts with lost = t.p_counts.lost + 1 };
+        finish t j.j_id (Error (Crashed status))
+      end)
+    job
+
+(* One turn; finished tasks accumulate in [p_finished]. *)
+let turn t ~now ~ready =
+  reap_zombies t;
+  Array.iteri
+    (fun idx w ->
+      if w.w_alive && List.memq w.w_from ready then
+        match (Frame.read w.w_from : ('r reply, _) result) with
+        | Ok reply ->
+            Metrics.absorb reply.rep_metrics;
+            List.iter Trace.adopt reply.rep_spans;
+            (* a reply with no task means a confused worker: drop it *)
+            Option.iter
+              (fun j ->
+                w.w_job <- None;
+                w.w_deadline <- None;
+                finish t j.j_id
+                  (match reply.rep_value with Ok v -> Ok v | Error msg -> Error (Exception msg)))
+              w.w_job
+        | Error (`Eof | `Error _) -> fail t now idx `Crash)
+    t.p_workers;
+  (* the watchdog: a worker past its deadline is hung or thrashing; only
+     SIGKILL is guaranteed to reclaim it *)
+  Array.iteri
+    (fun idx w ->
+      match w.w_deadline with
+      | Some d when w.w_alive && w.w_job <> None && now >= d -> fail t now idx `Hang
+      | _ -> ())
+    t.p_workers;
+  assign t now
+
+let step t ~now ~ready =
+  turn t ~now ~ready;
+  let finished = List.rev t.p_finished in
+  t.p_finished <- [];
+  finished
+
+let next_wake t =
+  let deadlines =
+    Array.to_list t.p_workers
+    |> List.filter_map (fun w -> if w.w_alive && w.w_job <> None then w.w_deadline else None)
+  in
+  (* a backed-off retry only needs a wake when a worker is free to take it;
+     otherwise the next reply is the wake *)
+  let gates =
+    if in_flight t < workers t then List.map (fun j -> j.j_not_before) t.p_retry else []
+  in
+  match deadlines @ gates with [] -> None | x :: rest -> Some (List.fold_left Float.min x rest)
+
+let submit t ~now task =
+  let j = { j_id = t.p_next_id; j_task = task; j_submitted = now; j_attempts = 0; j_not_before = now } in
+  t.p_next_id <- t.p_next_id + 1;
+  Queue.add j t.p_fresh;
+  assign t now;
+  j.j_id
+
+let rec await t id =
+  match List.assoc_opt id t.p_finished with
+  | Some outcome ->
+      t.p_finished <- List.remove_assoc id t.p_finished;
+      outcome
+  | None ->
+      let timeout =
+        match next_wake t with None -> -1. | Some at -> Float.max 0. (at -. Clock.now ())
+      in
+      let ready =
+        match Unix.select (fds t) [] [] timeout with
+        | r, _, _ -> r
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
+      in
+      turn t ~now:(Clock.now ()) ~ready;
+      await t id
+
+let shutdown t =
+  Array.iter
+    (fun w ->
+      if w.w_alive then begin
+        close_quiet w.w_to;
+        (* an idle worker exits on EOF; one mid-task gets the axe *)
+        if w.w_job <> None then (try Unix.kill w.w_pid Sys.sigkill with Unix.Unix_error _ -> ());
+        (try ignore (Unix.waitpid [] w.w_pid) with Unix.Unix_error _ -> ());
+        close_quiet w.w_from;
+        w.w_alive <- false
+      end)
+    t.p_workers;
+  List.iter (fun pid -> try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()) t.p_zombies;
+  t.p_zombies <- []
+
+let run ?(jobs = 0) ?task_timeout_ms ~worker tasks =
+  if tasks = [] then []
+  else
+    let jobs = min (resolve_jobs jobs) (List.length tasks) in
+    let t = create ~jobs ?timeout_ms:task_timeout_ms ~worker () in
     Fun.protect
-      ~finally:(fun () ->
-        cleanup ();
-        match old_sigpipe with
-        | Some b -> Sys.set_signal Sys.sigpipe b
-        | None -> ())
+      ~finally:(fun () -> shutdown t)
       (fun () ->
-        for i = 0 to n_workers - 1 do
-          workers.(i) <- Some (spawn ())
-        done;
-        while !completed < n_tasks do
-          assign ();
-          let busy =
-            Array.to_list workers
-            |> List.filter_map (function
-                 | Some w when w.ws_alive && w.ws_task <> None -> Some w
-                 | _ -> None)
-          in
-          if busy = [] then begin
-            let any_alive =
-              Array.exists (function Some w -> w.ws_alive | None -> false) workers
-            in
-            if not any_alive then
-              if !respawns_left > 0 && tasks_remain () then begin
-                decr respawns_left;
-                let slot = ref 0 in
-                Array.iteri
-                  (fun i -> function Some w when w.ws_alive -> () | _ -> slot := i)
-                  workers;
-                workers.(!slot) <- Some (spawn ())
-              end
-              else begin
-                (* every worker is gone and the replacement budget is spent:
-                   the rest of the queue degrades, one error per task *)
-                let rec drain () =
-                  match take_task () with
-                  | Some i ->
-                      results.(i) <-
-                        Some (Error (Crashed "no live workers (respawn limit reached)"));
-                      incr completed;
-                      drain ()
-                  | None -> ()
-                in
-                drain ()
-              end
-            (* else: an idle live worker exists; the next [assign] feeds it *)
-          end
-          else begin
-            let now = Clock.now () in
-            let timeout =
-              List.fold_left
-                (fun acc w ->
-                  match (w.ws_deadline, acc) with
-                  | Some d, None -> Some d
-                  | Some d, Some a -> Some (min a d)
-                  | None, _ -> acc)
-                None busy
-              |> function
-              | None -> -1. (* no deadlines: block until a reply or an EOF *)
-              | Some d -> Float.max 0. (d -. now)
-            in
-            let ready =
-              match Unix.select (List.map (fun w -> w.ws_from) busy) [] [] timeout with
-              | r, _, _ -> r
-              | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
-            in
-            Array.iteri
-              (fun idx slot ->
-                match slot with
-                | Some w when w.ws_alive && w.ws_task <> None && List.mem w.ws_from ready
-                  -> (
-                    match Frame.read w.ws_from with
-                    | Ok reply ->
-                        Metrics.absorb reply.rep_metrics;
-                        List.iter Trace.adopt reply.rep_spans;
-                        (match w.ws_task with
-                        | Some i ->
-                            results.(i) <-
-                              Some
-                                (match reply.rep_value with
-                                | Ok v -> Ok v
-                                | Error msg -> Error (Exception msg));
-                            incr completed
-                        | None -> ());
-                        w.ws_task <- None;
-                        w.ws_deadline <- None
-                    | Error (`Eof | `Error _) ->
-                        let status = reap w in
-                        fail_task w (Crashed status);
-                        maybe_respawn idx)
-                | _ -> ())
-              workers;
-            (* the watchdog: a worker past its deadline is hung or thrashing;
-               only SIGKILL is guaranteed to reclaim it *)
-            let now = Clock.now () in
-            Array.iteri
-              (fun idx slot ->
-                match slot with
-                | Some w when w.ws_alive && w.ws_task <> None -> (
-                    match w.ws_deadline with
-                    | Some d when now >= d ->
-                        (try Unix.kill w.ws_pid Sys.sigkill
-                         with Unix.Unix_error _ -> ());
-                        ignore (reap w);
-                        fail_task w (Timed_out (now -. w.ws_started));
-                        maybe_respawn idx
-                    | _ -> ())
-                | _ -> ())
-              workers
-          end
-        done);
-    Array.to_list results
-    |> List.map (function
-         | Some r -> r
-         | None -> Error (Crashed "internal: task never completed"))
-  end
+        let now = Clock.now () in
+        let ids = List.map (submit t ~now) tasks in
+        List.map (await t) ids)

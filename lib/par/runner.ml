@@ -51,17 +51,17 @@ let summarize ?(inferred = false) (rp : Pipeline.report) =
     sm_inferred = inferred;
   }
 
-(* An ephemeral session around the full session options and an
-   already-built cache object: what each execution site (sequential loop,
-   forked worker) assembles from the plain-data options that crossed the
-   pipe.  The parallelism shape is stripped — the execution site is already
-   a worker (or the sequential loop), and must not fork a nested pool —
-   but everything else, [op_infer] included, is preserved: a worker checks
+(* The parallelism shape is stripped — the execution site is already a
+   worker (or the sequential loop), and must not fork a nested pool — but
+   everything else, [op_infer] included, is preserved: a worker checks
    under exactly the policy the batch was submitted with. *)
-let session_for ?cache (options : Session.options) =
-  Session.create ?cache
-    ~options:{ options with Session.op_jobs = None; op_shard_obligations = false }
-    ()
+let worker_options (options : Session.options) =
+  { options with Session.op_jobs = None; op_shard_obligations = false }
+
+(* An ephemeral session around the full session options: what each
+   execution site (sequential loop, forked worker) assembles from the
+   plain-data options that crossed the pipe. *)
+let session_for options = Session.create ~options:(worker_options options) ()
 
 let check_one session target =
   match target.tg_source with
@@ -213,15 +213,6 @@ let run_obligation_sharded ~jobs ?task_timeout_ms (options : Session.options) ta
 (* Front door                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let run ~mode ~shard_obligations ?task_timeout_ms (options : Session.options) targets =
-  match mode with
-  | Sequential ->
-      let session = session_for options in
-      List.map (fun t -> { row_name = t.tg_name; row_result = check_one session t }) targets
-  | Workers jobs ->
-      if shard_obligations then run_obligation_sharded ~jobs ?task_timeout_ms options targets
-      else run_program_sharded ~jobs ?task_timeout_ms options targets
-
 let check_targets_s ?task_timeout_ms (options : Session.options) targets =
   (* Obligation sharding solves goals against a front end built once in the
      parent; inference rewrites the AST and re-runs the front end every
@@ -237,14 +228,15 @@ let check_targets_s ?task_timeout_ms (options : Session.options) targets =
       }
     else options
   in
-  let mode =
-    match options.Session.op_jobs with
-    | None when not options.Session.op_shard_obligations -> Sequential
-    | None | Some 0 -> Workers (Pool.cpu_count ())
-    | Some n -> Workers n
-  in
-  run ~mode ~shard_obligations:options.Session.op_shard_obligations ?task_timeout_ms
-    options targets
+  match options.Session.op_jobs with
+  | None when not options.Session.op_shard_obligations ->
+      let session = session_for options in
+      List.map (fun t -> { row_name = t.tg_name; row_result = check_one session t }) targets
+  | jobs ->
+      let jobs = Option.value jobs ~default:0 in
+      if options.Session.op_shard_obligations then
+        run_obligation_sharded ~jobs ?task_timeout_ms options targets
+      else run_program_sharded ~jobs ?task_timeout_ms options targets
 
 (* ------------------------------------------------------------------ *)
 (* Deterministic JSON                                                  *)

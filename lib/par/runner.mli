@@ -17,7 +17,8 @@
       with {!Dml_core.Pipeline.assemble}.
 
     Worker loss maps onto the solver's graceful-degradation verdicts: a
-    crashed or expired program task becomes that row's error; a crashed
+    program task whose worker crashed or expired on both attempts (the pool
+    retries once) becomes that row's error; such a crashed
     obligation task becomes [Unsupported "worker crashed"] and an expired
     one [Timeout "worker deadline"] — exactly an unproven site, never a lost
     batch.
@@ -67,9 +68,21 @@ val summarize : ?inferred:bool -> Dml_core.Pipeline.report -> summary
     checks in-process against its own warm session.  [inferred] (default
     [false]) marks rows produced under [--infer]. *)
 
+val worker_options : Dml_core.Session.options -> Dml_core.Session.options
+(** The options without their parallelism shape ([op_jobs],
+    [op_shard_obligations]): what a pool worker, which must never fork a
+    nested pool, checks under. *)
+
+val check_one : Dml_core.Session.t -> target -> (summary, string) result
+(** One row's result, for every batch path including [dmld]'s: the target
+    checked against [session] (by {!Dml_infer.Engine} under [op_infer]) and
+    summarized, or the diagnostic that stopped it. *)
+
+(** The two execution shapes {!check_targets_s} picks between by
+    [op_jobs] ([None] / [Some n]), named for callers that choose one. *)
 type mode =
   | Sequential  (** in-process, no forking: the reference the oracle tests compare against *)
-  | Workers of int  (** a {!Pool} of this many forked workers *)
+  | Workers of int  (** a {!Pool} of this many forked workers ([<= 0]: one per core) *)
 
 val check_targets_s :
   ?task_timeout_ms:int -> Dml_core.Session.options -> target list -> row list
@@ -107,8 +120,8 @@ val batch_json : ?schema:string -> passes:row list list -> unit -> Dml_obs.Json.
     ["dml-batch/2"], the schema whose rows may carry ["inferred"]. *)
 
 val test_injection : string -> unit
-(** Test-only fault injection, shared by every fork-worker execution site
-    (the batch pool and the [dmld] dispatcher): if [DML_PAR_TEST_CRASH]
+(** Test-only fault injection, shared by every {!Pool} worker closure
+    (the batch runner's and the [dmld] dispatcher's): if [DML_PAR_TEST_CRASH]
     names the given task, the calling process exits with code 66; if
     [DML_PAR_TEST_HANG] names it, the call never returns.  A no-op
     otherwise.  The environment survives the fork, which is what lets the

@@ -1,38 +1,19 @@
-(** The server-side worker-pool dispatcher: warm forked workers behind the
-    [dml-server/1] request path.
+(** The server side of the worker pool: what [dmld] runs on the one
+    {!Dml_par.Pool}.
 
-    Where {!Dml_par.Pool} runs a fixed task list to completion and returns,
-    this dispatcher is built for a long-lived multi-client server: workers
-    stay warm across requests (each holds a lazily-built
-    {!Dml_core.Session.t} whose verdict cache persists between tasks, with
-    a shared [--cache-dir] crossing processes through the store's atomic
-    writes), jobs arrive one at a time from the serve loop, and every
-    failure becomes a structured outcome rather than a torn-down pool:
-
-    - a {e crash} (the reply pipe hits EOF mid-task) or a {e hang} (the
-      per-request deadline expires and the worker is SIGKILLed) earns the
-      job one retry on a fresh worker after a short backoff; a second
-      failure resolves to {!Lost} or {!Timed_out};
-    - a worker {e exception} (the checker raised — deterministic) resolves
-      to {!Failed} immediately, no retry;
-    - past the admission bound, {!submit} sheds the job with [`Overloaded]
-      instead of queueing without bound;
-    - dead workers are respawned and reaped SIGCHLD-safely: always
-      [waitpid [WNOHANG]] against the specific pid (never a [wait(-1)] that
-      could steal a batch pool's children), with stragglers parked on a
-      zombie list and re-reaped every {!step}.
-
-    The dispatcher is transport-free: the serve loop selects on {!fds},
-    wakes by {!next_wake}, and calls {!step} with the readable pipes. *)
+    The pool does the process work — warm workers, deadlines, the
+    crash/hang retry, respawn and reaping.  This module adds only what is
+    specific to the server: the {!task} type and the documents it builds,
+    the warm worker closure (each worker holds a lazily-built
+    {!Dml_core.Session.t} whose verdict cache persists between tasks, plus
+    one derived session per override fingerprint), admission shedding past
+    [max_queue], and the [server.*] counters and [status] object. *)
 
 open Dml_obs
 
 type task =
   | T_check of { program : string; source : string }
   | T_batch of { programs : (string * string) list }
-
-val task_label : task -> string
-(** The program name fault injection is keyed by ([DML_PAR_TEST_*]). *)
 
 val check_doc : Dml_core.Session.t -> program:string -> string -> Json.t
 (** The [dml-check/1] document for one source — the single builder used by
@@ -43,55 +24,29 @@ val batch_doc : Dml_core.Session.t -> (string * string) list -> Json.t
 (** The [dml-batch/1] document for a named-program list, checked
     sequentially against the given session. *)
 
-type outcome =
-  | Done of Json.t  (** the result document *)
-  | Failed of string  (** worker exception: deterministic, not retried *)
-  | Timed_out of float
-      (** hung through the deadline twice; seconds since submission *)
-  | Lost of string  (** worker crashed on the retry as well *)
-
 type t
 
 val create : ?timeout_ms:int -> ?max_queue:int -> jobs:int -> Dml_core.Session.options -> t
-(** Fork [max 1 jobs] warm workers checking under [options] with the
-    parallelism shape stripped (a worker never forks a nested pool).
-    [timeout_ms] is the per-attempt deadline enforced by the parent's
-    watchdog ([None]: no deadline); [max_queue] (default 256) bounds
-    admitted-but-unassigned jobs. *)
+(** A pool of [jobs] warm workers ([<= 0]: one per core) checking under
+    [options] with the parallelism shape stripped.  [timeout_ms] is the
+    per-attempt deadline ([None]: no deadline); [max_queue] (default 256)
+    bounds admitted-but-unassigned jobs. *)
+
+val pool : t -> (Dml_core.Session.options * task, Json.t) Dml_par.Pool.t
+(** The underlying pool, for its read set, wake time, shape and shutdown. *)
 
 val submit :
   t -> now:float -> options:Dml_core.Session.options -> task -> (int, [ `Overloaded ]) result
-(** Admit a job (running it immediately if a worker is idle) and return its
-    id, or shed it when every worker is busy and the queue is full. *)
+(** Admit a job and return its pool id, or shed it when every worker is
+    busy and the queue is full. *)
 
-val step : t -> now:float -> ready:Unix.file_descr list -> (int * outcome) list
-(** One dispatcher turn: reap zombies, read replies from the [ready]
-    pipes, enforce deadlines, refill idle workers.  Returns finished jobs
-    as [(job id, outcome)].  Call with [ready = []] to drive deadlines and
-    retries alone. *)
+val step :
+  t -> now:float -> ready:Unix.file_descr list -> (int * Json.t Dml_par.Pool.outcome) list
+(** {!Dml_par.Pool.step}, with the turn's fault counts added to the
+    [server.*] counters. *)
 
-val fds : t -> Unix.file_descr list
-(** Reply pipes of every live worker — the serve loop's extra read set
-    (an idle worker's EOF is how an idle crash is noticed early). *)
-
-val next_wake : t -> float option
-(** Earliest monotonic instant {!step} must run without pipe activity: a
-    deadline to enforce or a backed-off retry to launch. *)
-
-val shutdown : t -> unit
-(** Close task pipes (idle workers exit on EOF), SIGKILL mid-task workers,
-    and reap everything, blocking. *)
-
-val workers : t -> int
-val timeout_ms : t -> int option
-val in_flight : t -> int
-val queued : t -> int
-
-val shed : t -> int
-val retries : t -> int
-val respawned : t -> int
-val timeouts : t -> int
-val lost : t -> int
+val await : t -> int -> Json.t Dml_par.Pool.outcome
+(** {!Dml_par.Pool.await}, with the fault counts added likewise. *)
 
 val to_json : t -> Json.t
 (** The [status] document's ["pool"] object: shape, occupancy and the

@@ -3,6 +3,7 @@ module Session = Dml_core.Session
 module Pipeline = Dml_core.Pipeline
 module Report_json = Dml_core.Report_json
 module Runner = Dml_par.Runner
+module Pool = Dml_par.Pool
 module Cache = Dml_cache.Cache
 
 let ops = [ "check"; "batch"; "status"; "metrics"; "shutdown" ]
@@ -44,8 +45,7 @@ let create ?(options = Session.default_options) ?(request_timeout_ms = default_r
   let t_dispatch =
     match options.Session.op_jobs with
     | None -> None
-    | Some j ->
-        let jobs = if j = 0 then Dml_par.Pool.cpu_count () else j in
+    | Some jobs ->
         let timeout_ms = if request_timeout_ms <= 0 then None else Some request_timeout_ms in
         Some (Dispatch.create ?timeout_ms ?max_queue ~jobs options)
   in
@@ -89,18 +89,20 @@ let memo_store t key doc = Hashtbl.replace t.t_memo key doc
 
 (* The structured verdicts a failed dispatch degrades to: a well-formed
    error document on the wire, never a dropped connection. *)
-let response_of_outcome ~id ~op ~timeout_ms = function
-  | Dispatch.Done doc -> Protocol.ok_response ~id ~op doc
-  | Dispatch.Failed msg ->
+let response_of_outcome d ~id ~op = function
+  | Ok doc -> Protocol.ok_response ~id ~op doc
+  | Error (Pool.Exception msg) ->
       Protocol.error_response ~id ~code:"internal" ("worker exception: " ^ msg)
-  | Dispatch.Timed_out elapsed ->
+  | Error (Pool.Timed_out elapsed) ->
       Protocol.error_response ~id ~code:"timeout"
         (Printf.sprintf
            "request exceeded its %s deadline twice (%.2fs since submission; the worker was \
             killed and the request retried once)"
-           (match timeout_ms with Some ms -> Printf.sprintf "%dms" ms | None -> "")
+           (match Pool.timeout_ms (Dispatch.pool d) with
+           | Some ms -> Printf.sprintf "%dms" ms
+           | None -> "")
            elapsed)
-  | Dispatch.Lost status ->
+  | Error (Pool.Crashed status) ->
       Protocol.error_response ~id ~code:"worker-lost"
         (Printf.sprintf
            "worker %s; the retry worker was lost too — the server is healthy, retry against \
@@ -111,7 +113,8 @@ let overloaded_response ~id d =
   Protocol.error_response ~id ~code:"overloaded"
     (Printf.sprintf
        "server at capacity (%d workers busy, %d requests queued); retry after backoff"
-       (Dispatch.workers d) (Dispatch.queued d))
+       (Pool.workers (Dispatch.pool d))
+       (Pool.queued (Dispatch.pool d)))
 
 (* Drive one dispatched job to completion (the stdio serve loop and the
    transport-free [handle] path: one client, so blocking on the pool is the
@@ -119,25 +122,8 @@ let overloaded_response ~id d =
    respawns still apply — this is what gives a --stdio server crash and
    hang isolation. *)
 let dispatch_sync d ~options task =
-  match Dispatch.submit d ~now:(Clock.now ()) ~options task with
-  | Error `Overloaded -> None
-  | Ok job_id ->
-      let rec wait () =
-        let now = Clock.now () in
-        let timeout =
-          match Dispatch.next_wake d with
-          | None -> -1.
-          | Some at -> Float.max 0. (at -. now)
-        in
-        let ready =
-          match Unix.select (Dispatch.fds d) [] [] timeout with
-          | r, _, _ -> r
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
-        in
-        let completed = Dispatch.step d ~now:(Clock.now ()) ~ready in
-        match List.assoc_opt job_id completed with Some outcome -> outcome | None -> wait ()
-      in
-      Some (wait ())
+  Result.to_option (Dispatch.submit d ~now:(Clock.now ()) ~options task)
+  |> Option.map (Dispatch.await d)
 
 let do_check t ~id ~program ~source ~options =
   match request_session t options with
@@ -160,12 +146,10 @@ let do_check t ~id ~program ~source ~options =
           | Some d -> (
               match dispatch_sync d ~options:opts (Dispatch.T_check { program; source }) with
               | None -> overloaded_response ~id d
-              | Some (Dispatch.Done doc) ->
+              | Some (Ok doc) ->
                   memo_store t key doc;
                   Protocol.ok_response ~id ~op:"check" doc
-              | Some outcome ->
-                  response_of_outcome ~id ~op:"check" ~timeout_ms:(Dispatch.timeout_ms d)
-                    outcome)))
+              | Some outcome -> response_of_outcome d ~id ~op:"check" outcome)))
 
 let incr_json ~source_id ~units ~dirty ~reused ~solver_calls =
   Json.Obj
@@ -288,9 +272,7 @@ let do_batch t ~id ~programs ~options =
       | Some d -> (
           match dispatch_sync d ~options:opts (Dispatch.T_batch { programs }) with
           | None -> overloaded_response ~id d
-          | Some (Dispatch.Done doc) -> Protocol.ok_response ~id ~op:"batch" doc
-          | Some outcome ->
-              response_of_outcome ~id ~op:"batch" ~timeout_ms:(Dispatch.timeout_ms d) outcome))
+          | Some outcome -> response_of_outcome d ~id ~op:"batch" outcome))
 
 let status_doc t =
   let requests =
@@ -350,7 +332,8 @@ let handle t v =
 let ignore_sigpipe () =
   if Sys.os_type = "Unix" then Sys.set_signal Sys.sigpipe Sys.Signal_ignore
 
-let shutdown_pool t = match t.t_dispatch with None -> () | Some d -> Dispatch.shutdown d
+let shutdown_pool t =
+  match t.t_dispatch with None -> () | Some d -> Pool.shutdown (Dispatch.pool d)
 
 let serve_stdio ?(input = Unix.stdin) ?(output = Unix.stdout) t =
   ignore_sigpipe ();
@@ -518,7 +501,7 @@ let serve_unix t ~path =
         flush_conn conn
     | None -> () (* the client went away; nothing to deliver *)
   in
-  let complete (job_id, outcome) =
+  let complete d (job_id, outcome) =
     match Hashtbl.find_opt routes job_id with
     | None -> ()
     | Some p ->
@@ -526,13 +509,10 @@ let serve_unix t ~path =
         (match p.p_key with
         | Some key ->
             Hashtbl.remove inflight_keys key;
-            (match outcome with Dispatch.Done doc -> memo_store t key doc | _ -> ())
+            (match outcome with Ok doc -> memo_store t key doc | Error _ -> ())
         | None -> ());
-        let timeout_ms =
-          match t.t_dispatch with Some d -> Dispatch.timeout_ms d | None -> None
-        in
         List.iter
-          (fun (cid, id) -> respond_to cid (response_of_outcome ~id ~op:p.p_op ~timeout_ms outcome))
+          (fun (cid, id) -> respond_to cid (response_of_outcome d ~id ~op:p.p_op outcome))
           (List.rev p.p_waiters)
   in
   (* Handle one decoded request from [conn].  Simple ops answer
@@ -617,7 +597,9 @@ let serve_unix t ~path =
         || ((jobs_outstanding () || output_outstanding ()) && Clock.now () < !stop_deadline)
       do
         if t.t_stop && !stop_deadline = infinity then stop_deadline := Clock.now () +. 10.;
-        let worker_fds = match t.t_dispatch with Some d -> Dispatch.fds d | None -> [] in
+        let worker_fds =
+          match t.t_dispatch with Some d -> Pool.fds (Dispatch.pool d) | None -> []
+        in
         let read_fds =
           (if t.t_stop then []
            else listen_fd :: List.filter_map (fun c -> if c.c_alive then Some c.c_fd else None) !conns)
@@ -630,7 +612,9 @@ let serve_unix t ~path =
         in
         let timeout =
           let cap = if t.t_stop then Some (!stop_deadline) else None in
-          let wake = match t.t_dispatch with Some d -> Dispatch.next_wake d | None -> None in
+          let wake =
+            match t.t_dispatch with Some d -> Pool.next_wake (Dispatch.pool d) | None -> None
+          in
           match (wake, cap) with
           | None, None -> -1.
           | Some a, None | None, Some a -> Float.max 0. (a -. Clock.now ())
@@ -672,7 +656,7 @@ let serve_unix t ~path =
         (match t.t_dispatch with
         | Some d ->
             let ready = List.filter (fun fd -> List.memq fd worker_fds) readable in
-            List.iter complete (Dispatch.step d ~now:(Clock.now ()) ~ready)
+            List.iter (complete d) (Dispatch.step d ~now:(Clock.now ()) ~ready)
         | None -> ());
         (* client requests *)
         if not t.t_stop then

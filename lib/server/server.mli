@@ -23,8 +23,8 @@
     [Unix.select] multiplexer: frames are assembled incrementally
     per-connection and responses are buffered per-connection (a half-sent
     frame to a slow reader never stalls other clients), but check work runs
-    inline and serially.  With [op_jobs] set, check/batch work is handed to
-    a {!Dispatch} pool of warm forked workers: requests from many clients
+    inline and serially.  With [op_jobs] set, check/batch work is handed
+    through {!Dispatch} to warm {!Dml_par.Pool} workers: requests from many clients
     proceed concurrently, each under a per-request deadline, with a bounded
     admission queue ([overloaded] past the bound) and crash/hang recovery
     (one retry on a fresh worker, then a structured [worker-lost]/[timeout]
@@ -49,7 +49,7 @@ val create :
   t
 (** A server over a fresh session built from [options] (default
     {!Dml_core.Session.default_options}).  When [options.op_jobs] is set, a
-    {!Dispatch} worker pool is forked at creation ([Some 0]: one worker per
+    {!Dispatch} worker pool ({!Dml_par.Pool}) is forked at creation ([Some 0]: one worker per
     core) and check/batch requests run on it; [request_timeout_ms] (default
     {!default_request_timeout_ms}; [<= 0] disables) bounds each attempt,
     and [max_queue] (default 256) bounds admitted-but-unassigned requests.

@@ -172,6 +172,35 @@ let dml_run _dml_scale =
       Alcotest.(check bool) "the trap was a counted dynamic check" true
         (match r.Codegen.nr_dynamic with Some d -> d > 0 | None -> false)
 
+(* SML evaluates operands left to right; OCaml evaluates arguments and tuple
+   components right to left, so the emitted code must fix the order.  Each
+   [note] call appends its digit to [r]. *)
+let order_source =
+  {|
+val r = ref 0
+fun note(d) = (r := !r * 10 + d; d)
+val p = note(1) + note(2)
+val t = (note(3), note(4))
+val y = (note(5); fn n => n) (note(6))
+|}
+
+let test_left_to_right () =
+  ignore (require_toolchain ());
+  let tprog =
+    match Pipeline.check_valid_s (Session.create ()) order_source with
+    | Ok r -> r.Pipeline.rp_tprog
+    | Error msg -> Alcotest.failf "order: %s" msg
+  in
+  let driver = "let dml_run _dml_scale = string_of_int !v_r" in
+  List.iter
+    (fun mode ->
+      match
+        Codegen.build_and_run ~name:"order" ~mode ~instrument:true ~driver ~scale:1 tprog
+      with
+      | Error msg -> Alcotest.failf "order: native build failed: %s" msg
+      | Ok r -> Alcotest.(check string) "operands in source order" "123456" r.Codegen.nr_summary)
+    [ Prims.Checked; Prims.Unchecked ]
+
 (* --- mangling and registry ------------------------------------------------ *)
 
 (* the driver snippets hardcode these names; a mangling change must fail
@@ -209,7 +238,11 @@ let () =
             test_degraded_site_keeps_check;
         ] );
       ("differential (native vs host)", differential_tests);
-      ("soundness", [ Alcotest.test_case "oob program traps" `Slow test_oob_traps ]);
+      ( "soundness",
+        [
+          Alcotest.test_case "oob program traps" `Slow test_oob_traps;
+          Alcotest.test_case "left-to-right evaluation" `Slow test_left_to_right;
+        ] );
       ( "api",
         [
           Alcotest.test_case "mangling is stable" `Quick test_mangling;

@@ -158,6 +158,56 @@ val x = reverse(1 :: 2 :: 3 :: nil)
     "x"
     (Value.of_int_list [ 3; 2; 1 ])
 
+(* --- evaluation order ---------------------------------------------------------- *)
+
+(* What [f] prints to stdout, and its result. *)
+let captured f =
+  let file = Filename.temp_file "dml-eval" ".out" in
+  flush stdout;
+  let saved = Unix.dup Unix.stdout in
+  let fd = Unix.openfile file [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  Unix.dup2 fd Unix.stdout;
+  Unix.close fd;
+  let v =
+    Fun.protect
+      ~finally:(fun () ->
+        flush stdout;
+        Unix.dup2 saved Unix.stdout;
+        Unix.close saved)
+      f
+  in
+  let text = In_channel.with_open_bin file In_channel.input_all in
+  Sys.remove file;
+  (text, v)
+
+(* SML evaluates operands left to right: both sides of a primitive call,
+   the components of a tuple, and the function before its argument *)
+let test_left_to_right () =
+  List.iter
+    (fun (name, src, printed, expected) ->
+      let tprog = typecheck name src in
+      List.iter
+        (fun b ->
+          List.iter
+            (fun (mode, mode_name) ->
+              let label = Printf.sprintf "%s (%s, %s)" name b.b_name mode_name in
+              let text, v = captured (fun () -> b.run mode tprog "x") in
+              Alcotest.(check string) (label ^ ": output order") printed text;
+              Alcotest.check value label expected v)
+            [ (Prims.Checked, "checked"); (Prims.Unchecked, "unchecked") ])
+        backends)
+    [
+      ("primitive operands", {| val x = (print "a"; 1) + (print "b"; 2) |}, "ab", Vint 3);
+      ( "tuple components",
+        {| val x = ((print "a"; 1), (print "b"; 2), (print "c"; 3)) |},
+        "abc",
+        Vtuple [ Vint 1; Vint 2; Vint 3 ] );
+      ( "function before argument",
+        {| val x = (print "f"; fn n => n + 1) (print "a"; 1) |},
+        "fa",
+        Vint 2 );
+    ]
+
 (* --- checked vs unchecked semantics -------------------------------------------- *)
 
 let test_subck_raises () =
@@ -268,6 +318,7 @@ let () =
           Alcotest.test_case "case and sequences" `Quick test_case_and_sequence;
           Alcotest.test_case "short circuit" `Quick test_short_circuit;
           Alcotest.test_case "reverse" `Quick test_reverse_runs;
+          Alcotest.test_case "left to right" `Quick test_left_to_right;
         ] );
       ( "checking",
         [

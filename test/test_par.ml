@@ -150,6 +150,45 @@ let test_spans_adopted () =
     (List.length
        (List.filter (fun sp -> Trace.span_name sp = "wtask") (Trace.roots sink)))
 
+(* the one failure policy: a crash earns the task a retry on a fresh worker,
+   so a worker that dies only on its first attempt still yields the value
+   (the marker file outlives the crashed process) *)
+let test_crash_retried () =
+  let dir = Filename.temp_dir "dml-par-retry" "" in
+  let marker = Filename.concat dir "crashed-once" in
+  let outcomes =
+    Fun.protect
+      ~finally:(fun () ->
+        (try Sys.remove marker with Sys_error _ -> ());
+        Sys.rmdir dir)
+      (fun () ->
+        Pool.run ~jobs:2
+          ~worker:(fun i ->
+            if i = 2 && not (Sys.file_exists marker) then begin
+              close_out (open_out marker);
+              Unix._exit 42
+            end;
+            i)
+          (List.init 6 Fun.id))
+  in
+  Alcotest.(check (list int)) "the retried task completes" (List.init 6 Fun.id)
+    (List.map ok_or_fail outcomes)
+
+(* with no respawn budget, the retry limit is what ends a crash loop: every
+   task resolves to [Crashed] after its second attempt, in bounded time *)
+let test_crash_every_task () =
+  let t0 = Unix.gettimeofday () in
+  let outcomes = Pool.run ~jobs:2 ~worker:(fun _ -> Unix._exit 42) (List.init 10 Fun.id) in
+  Alcotest.(check int) "one outcome per task" 10 (List.length outcomes);
+  List.iter
+    (function
+      | Error (Pool.Crashed _) -> ()
+      | Ok () -> Alcotest.fail "a crashing task returned a value"
+      | Error e -> Alcotest.failf "unexpected outcome: %s" (Pool.error_to_string e))
+    outcomes;
+  Alcotest.(check bool) "the retry limit bounds the wall clock" true
+    (Unix.gettimeofday () -. t0 < 20.)
+
 (* --- solver goals through the pool ------------------------------------------- *)
 
 (* a small mixed family (valid and not) of marshalled goals: the pooled
@@ -313,6 +352,8 @@ let () =
           Alcotest.test_case "watchdog timeout" `Quick test_watchdog_timeout;
           Alcotest.test_case "metrics aggregated" `Quick test_metrics_aggregated;
           Alcotest.test_case "spans adopted" `Quick test_spans_adopted;
+          Alcotest.test_case "crash retried once" `Quick test_crash_retried;
+          Alcotest.test_case "crash on every task" `Quick test_crash_every_task;
         ] );
       ("goals", [ Alcotest.test_case "pooled solver oracle" `Quick test_goal_batch_oracle ]);
       ( "runner",
