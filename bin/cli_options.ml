@@ -74,8 +74,8 @@ let solver_lane =
    builds the session's solve_config. *)
 let solve_config =
   let fuel =
-    let doc = "Solver fuel per obligation (abstract work units: DNF disjuncts, \
-               Fourier combinations, simplex pivots)." in
+    let doc = "Solver fuel per obligation (abstract work units: case-split search \
+               nodes, Fourier combinations, simplex pivots)." in
     Arg.(value & opt (some int) None & info [ "fuel" ] ~docv:"N" ~doc)
   in
   let timeout_ms =

@@ -37,12 +37,14 @@ let emit st ctx ~loc ~what phi =
   if not (Constr.is_top phi) then
     st.obligations <- { ob_constr = phi; ob_loc = loc; ob_what = what } :: st.obligations
 
+(* A refined binder is assumed once: its refinement becomes an [Ehyp] and
+   the variable ranges over the base sort, so [Constr.goals] does not add
+   the same refinement a second time. *)
 let push_uni ctx v g =
-  let entries = Euni (v, g) :: ctx.entries in
   let entries =
     match Idx.sort_refinement v g with
-    | Idx.Bconst true -> entries
-    | refinement -> Ehyp refinement :: entries
+    | Idx.Bconst true -> Euni (v, g) :: ctx.entries
+    | refinement -> Ehyp refinement :: Euni (v, Idx.base_sort g) :: ctx.entries
   in
   { ctx with entries; iscope = SMap.add (Ivar.name v) (v, g) ctx.iscope }
 
@@ -168,10 +170,9 @@ let find_flex cs v = List.find_opt (fun f -> Ivar.equal f.fvar v) cs.flexes
 
 let open_actual cs v g body =
   let v' = Ivar.refresh v in
-  cs.added <- Euni (v', g) :: cs.added;
   (match Idx.sort_refinement v' g with
-  | Idx.Bconst true -> ()
-  | refinement -> cs.added <- Ehyp refinement :: cs.added);
+  | Idx.Bconst true -> cs.added <- Euni (v', g) :: cs.added
+  | refinement -> cs.added <- Ehyp refinement :: Euni (v', Idx.base_sort g) :: cs.added);
   Dtype.rename v v' body
 
 (* Substitution of solved flexes into indices. *)

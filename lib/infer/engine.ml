@@ -15,6 +15,8 @@ type stats = {
   st_iterations : int;
   st_quals_tested : int;
   st_quals_kept : int;
+  st_engine_s : float;
+  st_solve_s : float;
 }
 
 type var_solution = { vs_var : string; vs_kept : string list }
@@ -620,7 +622,8 @@ let final_solve session ~cache_before fe =
   in
   Pipeline.assemble ?cache_stats ~stats ~solve_time fe obligations
 
-let engine_stats st =
+(* [t0] is when the fixpoint started; [report] is the final solve's. *)
+let engine_stats st ~t0 (report : Pipeline.report) =
   {
     st_liquid_vars = Hashtbl.length st.registry;
     st_iterations = st.rounds;
@@ -629,6 +632,9 @@ let engine_stats st =
       List.fold_left
         (fun n sk -> List.fold_left (fun n k -> n + List.length k.k_kept) n (sk_kappas sk))
         0 st.skeletons;
+    st_engine_s = Budget.now () -. t0;
+    st_solve_s =
+      st.solver_stats.Solver.solve_time +. report.Pipeline.rp_solver_stats.Solver.solve_time;
   }
 
 let solution_of st =
@@ -689,9 +695,10 @@ let check_s ?(vocab_keep = fun _ -> true) session src =
             }
           in
           let sp = Trace.start "infer-fixpoint" in
+          let t0 = Budget.now () in
           build_templates st su user_prog;
-          let finish_trace () =
-            let s = engine_stats st in
+          let finish_trace report =
+            let s = engine_stats st ~t0 report in
             if Trace.real sp then begin
               Trace.set_int sp "liquid_vars" s.st_liquid_vars;
               Trace.set_int sp "iterations" s.st_iterations;
@@ -702,7 +709,7 @@ let check_s ?(vocab_keep = fun _ -> true) session src =
             s
           in
           let outcome ?abandoned report =
-            let s = finish_trace () in
+            let s = finish_trace report in
             bump_metrics s;
             Ok
               {
@@ -773,6 +780,8 @@ let infer_json ~program oc =
             ("iterations", Json.Int oc.oc_stats.st_iterations);
             ("quals_tested", Json.Int oc.oc_stats.st_quals_tested);
             ("quals_kept", Json.Int oc.oc_stats.st_quals_kept);
+            ("engine_s", Json.Float oc.oc_stats.st_engine_s);
+            ("solve_s", Json.Float oc.oc_stats.st_solve_s);
           ] );
       ( "functions",
         Json.List

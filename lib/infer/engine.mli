@@ -38,6 +38,12 @@ type stats = {
   st_iterations : int;  (** weakening rounds run (front-end re-elaborations) *)
   st_quals_tested : int;  (** solver calls made to test qualifiers *)
   st_quals_kept : int;  (** qualifiers surviving at the fixpoint *)
+  st_engine_s : float;
+      (** wall-clock seconds (monotonic) of the whole inference: template
+          construction, every weakening round and the final solve *)
+  st_solve_s : float;
+      (** solver seconds inside [st_engine_s]: the qualifier tests plus the
+          final solve *)
 }
 
 type var_solution = {

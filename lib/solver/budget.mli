@@ -1,11 +1,11 @@
 (** Resource governor for the decision procedures.
 
     The solver is treated as a fallible, budgeted oracle: every potentially
-    exponential phase (DNF expansion, Fourier--Motzkin combination, simplex
-    pivoting) charges abstract fuel units against a shared budget and checks
-    a wall-clock deadline, so a pathological or adversarial constraint ends
-    in a {!exception:Exhausted} — surfaced as a [Timeout] verdict by
-    {!Solver} — instead of hanging the pipeline.
+    exponential phase (case-split search, Fourier--Motzkin combination,
+    simplex pivoting) charges abstract fuel units against a shared budget
+    and checks a wall-clock deadline, so a pathological or adversarial
+    constraint ends in a {!exception:Exhausted} — surfaced as a [Timeout]
+    verdict by {!Solver} — instead of hanging the pipeline.
 
     A budget is mutable and is meant to be shared across the attempts made
     on one obligation: when an escalation ladder retries a goal with a
@@ -22,7 +22,7 @@ val unlimited : unit -> t
 
 val create : ?fuel:int -> ?timeout_ms:int -> ?max_eliminations:int -> unit -> t
 (** A budget with the given limits; omitted limits are unbounded.
-    [fuel] is in abstract work units (one DNF disjunct produced, one
+    [fuel] is in abstract work units (one case-split search node, one
     Fourier upper/lower combination, half a simplex pivot).  [timeout_ms]
     is a wall-clock deadline measured from [create] with the monotonic
     clock {!now}.  [max_eliminations] bounds the number of variables the

@@ -85,41 +85,39 @@ let merge_stats ~into (s : stats) =
 let negation_formula (g : Constr.goal) =
   Idx.band (Idx.conj g.goal_hyps) (Idx.bnot g.goal_concl)
 
-(* Translate one DNF disjunct into a linear system; [None] when the disjunct
-   is unsatisfiable by its boolean literals alone. *)
-let system_of_disjunct literals =
-  let pos = Hashtbl.create 4 and neg = Hashtbl.create 4 in
-  let exception Bool_contradiction in
+(* A normal-form literal over linear forms.  Literals are translated once,
+   before the search, so every system the search refutes shares them. *)
+type atom = Cstr of Linear.cstr | Bool of bool * Ivar.t
+
+let atom_of_literal =
   let form_of e =
     match Linear.of_iexp e with
     | Some f -> f
     | None -> raise (Purify.Nonlinear (Idx.iexp_to_string e))
   in
+  function
+  | Dnf.Lle (a, b) -> Cstr (Linear.cstr_le (Linear.sub (form_of a) (form_of b)))
+  | Dnf.Leq (a, b) -> Cstr (Linear.cstr_eq (Linear.sub (form_of a) (form_of b)))
+  | Dnf.Lbool (p, v) -> Bool (p, v)
+
+(* The linear system of a conjunction of atoms; [None] when the conjunction
+   is unsatisfiable by its boolean literals alone. *)
+let system_of_atoms atoms =
+  let pos = Hashtbl.create 4 and neg = Hashtbl.create 4 in
+  let exception Bool_contradiction in
   match
     List.filter_map
-      (fun lit ->
-        match lit with
-        | Dnf.Lle (a, b) -> Some (Linear.cstr_le (Linear.sub (form_of a) (form_of b)))
-        | Dnf.Leq (a, b) -> Some (Linear.cstr_eq (Linear.sub (form_of a) (form_of b)))
-        | Dnf.Lbool (p, v) ->
+      (function
+        | Cstr c -> Some c
+        | Bool (p, v) ->
             let mine, other = if p then (pos, neg) else (neg, pos) in
             if Hashtbl.mem other v.Ivar.id then raise Bool_contradiction;
             Hashtbl.replace mine v.Ivar.id ();
             None)
-      literals
+      atoms
   with
   | cs -> Some cs
   | exception Bool_contradiction -> None
-
-let disjunct_systems ?budget formula =
-  match
-    let purified = Purify.purify formula in
-    let disjuncts = Dnf.dnf ?budget purified in
-    List.filter_map system_of_disjunct disjuncts
-  with
-  | systems -> Ok systems
-  | exception Purify.Nonlinear msg -> Error ("non-linear constraint: " ^ msg)
-  | exception Dnf.Too_large -> Error "constraint normal form too large"
 
 let refute_bignum ?stats ?budget method_ system =
   let fm_stats = Option.map (fun s -> s.fm) stats in
@@ -202,26 +200,30 @@ let check_goal_uncached ?(method_ = Fm_tightened) ?(lane = Lane_auto) ?stats ?bu
        become [Unsupported] with a diagnostic, exactly as a failure to decide
        (both are conservative: the caller keeps the dynamic check). *)
     match
-      match disjunct_systems ?budget (negation_formula goal) with
-      | Error msg -> Unsupported msg
-      | Ok systems ->
-          Option.iter (fun s -> s.disjuncts <- s.disjuncts + List.length systems) stats;
-          Metrics.incr ~by:(List.length systems) m_disjuncts;
-          Metrics.observe h_dnf_disjuncts (float_of_int (List.length systems));
-          let rec go = function
-            | [] -> Valid
-            | system :: rest -> (
-                match refute ?stats ?budget ~lane method_ system with
-                | `Refuted -> go rest
-                | `Open ->
-                    let hint =
-                      match Fourier.rational_model ?budget system with
-                      | Some model -> "counterexample: " ^ rat_model_to_string model
-                      | None -> "could not refute a disjunct of the negation"
-                    in
-                    Not_valid hint)
+      match Dnf.map atom_of_literal (Dnf.nnf (Purify.purify (negation_formula goal))) with
+      | exception Purify.Nonlinear msg -> Unsupported ("non-linear constraint: " ^ msg)
+      | nf -> (
+          let refuted atoms =
+            match system_of_atoms atoms with
+            | None -> true
+            | Some system -> refute ?stats ?budget ~lane method_ system = `Refuted
           in
-          go systems
+          match Dnf.refute ?budget ~refuted nf with
+          | exception Dnf.Too_large -> Unsupported "constraint normal form too large"
+          | first_open, decided -> (
+              Option.iter (fun s -> s.disjuncts <- s.disjuncts + decided) stats;
+              Metrics.incr ~by:decided m_disjuncts;
+              Metrics.observe h_dnf_disjuncts (float_of_int decided);
+              (* an open disjunct is boolean-consistent, or it was refuted *)
+              match Option.bind first_open system_of_atoms with
+              | None -> Valid
+              | Some system ->
+                  let hint =
+                    match Fourier.rational_model ?budget system with
+                    | Some model -> "counterexample: " ^ rat_model_to_string model
+                    | None -> "could not refute a disjunct of the negation"
+                  in
+                  Not_valid hint))
     with
     | verdict -> verdict
     | exception Budget.Exhausted msg ->

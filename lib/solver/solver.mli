@@ -1,11 +1,14 @@
 (** End-to-end decision procedure for elaboration goals.
 
     A goal [vars; hyps |- concl] is valid iff [hyps /\ ~concl] is
-    unsatisfiable.  The formula is purified ({!Purify}), normalised to DNF
-    ({!Dnf}) and every disjunct is refuted with the selected method.
+    unsatisfiable.  The formula is purified ({!Purify}) and put in negation
+    normal form, and {!Dnf.refute} searches its disjuncts depth first,
+    refuting each case split's conjunction with the selected method before
+    splitting further (see {!Dnf.refute} for the order).  No disjunct list
+    is ever built.
 
     The solver is a *budgeted, fault-isolated oracle*: every call accepts an
-    optional {!Budget.t} charged by the DNF expansion, the Fourier
+    optional {!Budget.t} charged by the case-split search, the Fourier
     combination loop, and simplex pivoting; exhaustion surfaces as a
     {!constructor:Timeout} verdict instead of a hang, and runtime resource
     exhaustion ([Stack_overflow], [Out_of_memory]) or an unexpected solver
@@ -41,7 +44,8 @@ type verdict =
       (** refutation failed; the payload is a human-readable hint, including a
           verified counterexample assignment when one was reconstructed *)
   | Unsupported of string
-      (** non-linear constraint, DNF blow-up, or an isolated solver fault
+      (** non-linear constraint, more than {!Dnf.max_disjuncts} disjuncts
+          decided, or an isolated solver fault
           (stack overflow, out of memory, unexpected exception) *)
   | Timeout of string
       (** the budget ran out (fuel, wall-clock deadline, or elimination
@@ -50,6 +54,9 @@ type verdict =
 type stats = {
   mutable checked_goals : int;
   mutable disjuncts : int;
+      (** disjuncts decided by the case-split search: each disjunct left
+          open or refuted on its own, plus each refuted conjunction that
+          closed a whole subtree of disjuncts at once ({!Dnf.refute}) *)
   mutable fm : Fourier.stats;
   mutable solve_time : float;  (** wall-clock seconds spent refuting (monotonic) *)
   mutable timeouts : int;  (** goals abandoned on budget exhaustion *)
@@ -138,13 +145,6 @@ val check_constraint :
 
 val negation_formula : Constr.goal -> Idx.bexp
 (** [hyps /\ ~concl], exposed for tests and the [constraints] CLI command. *)
-
-val disjunct_systems :
-  ?budget:Budget.t -> Idx.bexp -> (Linear.cstr list list, string) result
-(** Purify + DNF + literal translation, exposed for tests.  Each inner list
-    is one disjunct's linear system (boolean-contradictory disjuncts are
-    dropped).
-    @raise Budget.Exhausted when the DNF expansion outruns the budget. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit
 

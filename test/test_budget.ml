@@ -22,12 +22,23 @@ let contains hay needle =
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   nn = 0 || go 0
 
-(* k hypotheses of the form [x = i \/ x = i + k]: the negation formula's DNF
-   has 2^k disjuncts, far past any reasonable fuel allowance. *)
-let dnf_blowup_goal k =
+(* k hypotheses of the form [x = i \/ x = i + k]: 2^k disjuncts when
+   expanded, but the hypotheses contradict each other (x cannot take two of
+   the 2k values at once), so the case-splitting search refutes them
+   without expanding anything: the goal is valid. *)
+let contradictory_goal k =
   let x = v "x" in
   let hyps = List.init k (fun i -> Bor (eq (Ivar x) (Iconst i), eq (Ivar x) (Iconst (i + k)))) in
   goal [ (x, Sint) ] hyps (le (Ivar x) (Iconst (-1)))
+
+(* k independent variables, each [x_j = 0 \/ x_j = 1], and a conclusion on
+   their sum: every one of the 2^k disjuncts needs all k choices before it
+   is refuted, so no case split closes early. *)
+let dnf_blowup_goal k =
+  let xs = List.init k (fun j -> v (Printf.sprintf "x%d" j)) in
+  let hyps = List.map (fun x -> Bor (eq (Ivar x) (Iconst 0), eq (Ivar x) (Iconst 1))) xs in
+  let sum = List.fold_left (fun acc x -> Iadd (acc, Ivar x)) (Iconst 0) xs in
+  goal (List.map (fun x -> (x, Sint)) xs) hyps (le sum (Iconst k))
 
 (* A dense difference system over n variables: Fourier elimination keeps
    combining upper and lower bounds pair by pair. *)
@@ -57,6 +68,14 @@ let test_fuel_timeout () =
     true (is_timeout verdict);
   Alcotest.(check bool) "returns promptly" true (elapsed < 10.)
 
+let test_contradiction_valid () =
+  (* the old blow-up goal: its contradictory hypotheses close the search
+     long before the fuel that timed the expansion out *)
+  let budget = Budget.create ~fuel:200 () in
+  match Solver.check_goal ~budget (contradictory_goal 18) with
+  | Solver.Valid -> ()
+  | other -> Alcotest.failf "expected valid, got %a" Solver.pp_verdict other
+
 let test_deadline_timeout () =
   (* an already-expired deadline: the first poll raises, whatever the goal *)
   let budget = Budget.create ~timeout_ms:0 () in
@@ -78,7 +97,7 @@ let test_elimination_limit () =
     true (is_timeout verdict)
 
 let test_unbudgeted_still_works () =
-  (* without a budget the blowup is cut off by the DNF size cap, reported as
+  (* without a budget the blowup is cut off by the disjunct cap, reported as
      Unsupported — and small goals are entirely unaffected *)
   (match Solver.check_goal (dnf_blowup_goal 18) with
   | Solver.Unsupported _ | Solver.Timeout _ -> ()
@@ -90,6 +109,46 @@ let test_unbudgeted_still_works () =
   with
   | Solver.Valid -> ()
   | other -> Alcotest.failf "unlimited budget broke a tautology: %a" Solver.pp_verdict other
+
+(* --- no blow-up: caps hold before memory is spent ------------------------- *)
+
+let heap_bound_words = 64 * 1024 * 1024 / (Sys.word_size / 8)
+
+(* Run [f], failing if it takes [max_s] seconds or grows the major heap's
+   high-water mark by 64 MiB or more. *)
+let bounded ~what ~max_s f =
+  let top0 = (Gc.quick_stat ()).Gc.top_heap_words and t0 = Budget.now () in
+  let r = f () in
+  let dt = Budget.now () -. t0 and grew = (Gc.quick_stat ()).Gc.top_heap_words - top0 in
+  if dt >= max_s then Alcotest.failf "%s took %.2fs" what dt;
+  if grew >= heap_bound_words then Alcotest.failf "%s grew the heap by %d words" what grew;
+  r
+
+(* [i] ranges over [0, n) minus k constants: every hypothesis is assumed
+   once, and the access is proved by the bounds alone however many
+   disequalities the search has to step over. *)
+let disequality_src k =
+  Printf.sprintf
+    "fun get(a, i) = sub(a, i)\n\
+     where get <| {n:nat}{i:nat | i < n%s} int array(n) * int(i) -> int\n"
+    (String.concat "" (List.init k (fun j -> Printf.sprintf " /\\ i <> %d" (100 + j))))
+
+let test_disequality_family () =
+  List.iter
+    (fun k ->
+      let what = Printf.sprintf "k = %d disequalities" k in
+      let check () = Pipeline.check_s (Session.create ()) (disequality_src k) in
+      match bounded ~what ~max_s:1. check with
+      | Error f -> Alcotest.failf "%s: %s" what (Pipeline.failure_to_string f)
+      | Ok r -> Alcotest.(check bool) (what ^ " valid") true r.Pipeline.rp_valid)
+    [ 4; 13; 32; 64 ]
+
+let test_cap_before_allocation () =
+  let check () = Solver.check_goal (dnf_blowup_goal 20) in
+  match bounded ~what:"2^20 disjuncts" ~max_s:10. check with
+  | Solver.Unsupported msg ->
+      Alcotest.(check string) "capped" "constraint normal form too large" msg
+  | other -> Alcotest.failf "expected the disjunct cap, got %a" Solver.pp_verdict other
 
 (* --- escalation ladder --------------------------------------------------- *)
 
@@ -270,9 +329,15 @@ let () =
       ( "budget",
         [
           Alcotest.test_case "fuel exhaustion times out" `Quick test_fuel_timeout;
+          Alcotest.test_case "contradictory hypotheses are valid" `Quick test_contradiction_valid;
           Alcotest.test_case "expired deadline times out" `Quick test_deadline_timeout;
           Alcotest.test_case "elimination limit times out" `Quick test_elimination_limit;
           Alcotest.test_case "unbudgeted behaviour unchanged" `Quick test_unbudgeted_still_works;
+        ] );
+      ( "blow-up",
+        [
+          Alcotest.test_case "disequality family" `Quick test_disequality_family;
+          Alcotest.test_case "cap before allocation" `Quick test_cap_before_allocation;
         ] );
       ( "escalation",
         [

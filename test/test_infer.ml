@@ -65,6 +65,30 @@ let test_dotprod_smoke () =
      that performs its own runtime check by design. *)
 let known_residual = [ ("matrix mult", 2); ("kmp", 1) ]
 
+(* Each corpus program is checked once and shared by the tests below. *)
+let memo tbl key f =
+  match Hashtbl.find_opt tbl key with
+  | Some v -> v
+  | None ->
+      let v = f () in
+      Hashtbl.replace tbl key v;
+      v
+
+let annotated_reports = Hashtbl.create 16
+let twin_outcomes = Hashtbl.create 16
+
+let annotated_report (b : Programs.benchmark) =
+  memo annotated_reports b.Programs.name (fun () ->
+      match Pipeline.check_s (session ()) b.Programs.source with
+      | Error f -> Alcotest.failf "%s annotated: %s" b.Programs.name (Pipeline.failure_to_string f)
+      | Ok r -> r)
+
+let twin_outcome name (t : Sources_unannotated.twin) =
+  memo twin_outcomes name (fun () ->
+      match Engine.check_s (session ()) t.Sources_unannotated.u_source with
+      | Error f -> Alcotest.failf "%s twin: %s" name (Pipeline.failure_to_string f)
+      | Ok oc -> oc)
+
 let test_oracle () =
   List.iter
     (fun (b : Programs.benchmark) ->
@@ -73,19 +97,10 @@ let test_oracle () =
       | None -> Alcotest.failf "%s: no unannotated twin" name
       | Some t ->
           (* baseline: the annotated original proves every site *)
-          let annotated =
-            match Pipeline.check_s (session ()) b.Programs.source with
-            | Error f -> Alcotest.failf "%s annotated: %s" name (Pipeline.failure_to_string f)
-            | Ok r ->
-                if not r.Pipeline.rp_valid then
-                  Alcotest.failf "%s annotated left residual sites: %s" name (render_unproven r);
-                r
-          in
-          let oc =
-            match Engine.check_s (session ()) t.Sources_unannotated.u_source with
-            | Error f -> Alcotest.failf "%s twin: %s" name (Pipeline.failure_to_string f)
-            | Ok oc -> oc
-          in
+          let annotated = annotated_report b in
+          if not annotated.Pipeline.rp_valid then
+            Alcotest.failf "%s annotated left residual sites: %s" name (render_unproven annotated);
+          let oc = twin_outcome name t in
           (match oc.Engine.oc_abandoned with
           | Some why -> Alcotest.failf "%s: inference abandoned (%s)" name why
           | None -> ());
@@ -106,6 +121,43 @@ let test_oracle () =
           if r.Pipeline.rp_residual > allowed then
             Alcotest.failf "%s: %d residual site(s), %d allowed: %s" name r.Pipeline.rp_residual
               allowed (render_unproven r))
+    Programs.all
+
+(* --- single assumption: no goal states a hypothesis twice ----------------- *)
+
+(* Elaboration assumes a refined binder's refinement once, as a hypothesis
+   over the binder's base sort; quantifying over the refined sort as well
+   would make goal extraction assume it again. *)
+let test_no_duplicated_hypothesis () =
+  let check_report what (r : Pipeline.report) =
+    List.iter
+      (fun (co : Pipeline.checked_obligation) ->
+        match Dml_constr.Constr.goals
+                (Dml_constr.Constr.eliminate_existentials co.Pipeline.co_obligation.Elab.ob_constr)
+        with
+        | Error _ -> ()
+        | Ok goals ->
+            List.iter
+              (fun (g : Dml_constr.Constr.goal) ->
+                let rec dup = function
+                  | [] -> ()
+                  | h :: rest ->
+                      if List.exists (Dml_index.Idx.equal_bexp h) rest then
+                        Alcotest.failf "%s: %s assumes %s twice" what
+                          co.Pipeline.co_obligation.Elab.ob_what (Dml_index.Idx.bexp_to_string h);
+                      dup rest
+                in
+                dup g.Dml_constr.Constr.goal_hyps)
+              goals)
+      r.Pipeline.rp_obligations
+  in
+  List.iter
+    (fun (b : Programs.benchmark) ->
+      let name = b.Programs.name in
+      check_report name (annotated_report b);
+      match Sources_unannotated.find name with
+      | None -> ()
+      | Some t -> check_report (name ^ " twin") (twin_outcome name t).Engine.oc_report)
     Programs.all
 
 (* --- soundness under vocabulary subsetting --------------------------------- *)
@@ -183,7 +235,11 @@ let () =
   Alcotest.run "infer"
     [
       ("smoke", [ Alcotest.test_case "dotprod unannotated" `Quick test_dotprod_smoke ]);
-      ("oracle", [ Alcotest.test_case "inferred vs annotated corpus" `Slow test_oracle ]);
+      ( "oracle",
+        [
+          Alcotest.test_case "inferred vs annotated corpus" `Slow test_oracle;
+          Alcotest.test_case "no duplicated hypothesis" `Slow test_no_duplicated_hypothesis;
+        ] );
       ( "soundness",
         [
           Alcotest.test_case "full vocabulary" `Quick test_full_vocab_sound;

@@ -1,5 +1,6 @@
 (* Direct tests of the solver's normalisation passes: purification of the
-   non-affine index operators and DNF conversion. *)
+   non-affine index operators, NNF conversion and the lazy case-splitting
+   search over it. *)
 
 open Dml_index
 open Dml_solver
@@ -10,27 +11,25 @@ let y = Ivar.fresh "y"
 
 (* satisfiability of a purified formula must match the original on a small
    box: evaluate the original directly; for the purified version ask the
-   solver (Fourier on each DNF disjunct) *)
+   lazy case-splitting search (Fourier on each conjunction it tries) *)
 let formula_sat b =
-  let purified = Purify.purify b in
-  let disjuncts = Dnf.dnf purified in
-  List.exists
-    (fun literals ->
-      let to_cstr = function
-        | Dnf.Lle (a, b) -> (
-            match (Linear.of_iexp a, Linear.of_iexp b) with
-            | Some fa, Some fb -> Some (Linear.cstr_le (Linear.sub fa fb))
-            | _ -> None)
-        | Dnf.Leq (a, b) -> (
-            match (Linear.of_iexp a, Linear.of_iexp b) with
-            | Some fa, Some fb -> Some (Linear.cstr_eq (Linear.sub fa fb))
-            | _ -> None)
-        | Dnf.Lbool _ -> None
-      in
-      let cs = List.map to_cstr literals in
-      if List.exists (fun c -> c = None) cs then false
-      else Fourier.check ~tighten:true (List.filter_map Fun.id cs) = Fourier.Sat)
-    disjuncts
+  let to_cstr = function
+    | Dnf.Lle (a, b) -> (
+        match (Linear.of_iexp a, Linear.of_iexp b) with
+        | Some fa, Some fb -> Some (Linear.cstr_le (Linear.sub fa fb))
+        | _ -> None)
+    | Dnf.Leq (a, b) -> (
+        match (Linear.of_iexp a, Linear.of_iexp b) with
+        | Some fa, Some fb -> Some (Linear.cstr_eq (Linear.sub fa fb))
+        | _ -> None)
+    | Dnf.Lbool _ -> None
+  in
+  let refuted literals =
+    let cs = List.map to_cstr literals in
+    List.exists (fun c -> c = None) cs
+    || Fourier.check ~tighten:true (List.filter_map Fun.id cs) = Fourier.Unsat
+  in
+  fst (Dnf.refute ~refuted (Dnf.nnf (Purify.purify b))) <> None
 
 let brute_sat b =
   let found = ref false in
@@ -93,34 +92,54 @@ let test_purified_semantics () =
 
 (* --- DNF ------------------------------------------------------------------ *)
 
+(* Every disjunct of [b], in expansion order, listed through the lazy
+   search: each run refutes exactly the disjuncts already listed, so it
+   stops at the next one.  (Such a refuter is not monotone, so the listing
+   is exact only while no listed disjunct is also the conjunction tried at
+   a later case split; that holds for the formulas below.) *)
+let disjuncts b =
+  let rec more found =
+    match Dnf.refute ~refuted:(fun lits -> List.mem lits found) (Dnf.nnf b) with
+    | None, _ -> List.rev found
+    | Some d, _ -> more (d :: found)
+  in
+  more []
+
 let test_dnf_shapes () =
   let a = Bcmp (Rle, Ivar x, Iconst 0) in
   let b = Bcmp (Rge, Ivar x, Iconst 5) in
-  Alcotest.(check int) "atom" 1 (List.length (Dnf.dnf a));
-  Alcotest.(check int) "or" 2 (List.length (Dnf.dnf (Bor (a, b))));
-  Alcotest.(check int) "and" 1 (List.length (Dnf.dnf (Band (a, b))));
+  Alcotest.(check int) "atom" 1 (List.length (disjuncts a));
+  Alcotest.(check int) "or" 2 (List.length (disjuncts (Bor (a, b))));
+  Alcotest.(check int) "and" 1 (List.length (disjuncts (Band (a, b))));
   Alcotest.(check int) "distribution" 4
-    (List.length (Dnf.dnf (Band (Bor (a, b), Bor (a, b)))));
-  Alcotest.(check int) "true" 1 (List.length (Dnf.dnf (Bconst true)));
-  Alcotest.(check int) "false" 0 (List.length (Dnf.dnf (Bconst false)));
+    (List.length (disjuncts (Band (Bor (a, b), Bor (a, b)))));
+  Alcotest.(check int) "true" 1 (List.length (disjuncts (Bconst true)));
+  Alcotest.(check int) "false" 0 (List.length (disjuncts (Bconst false)));
   (* ne expands to a disjunction *)
-  Alcotest.(check int) "ne" 2 (List.length (Dnf.dnf (Bcmp (Rne, Ivar x, Iconst 0))));
+  Alcotest.(check int) "ne" 2 (List.length (disjuncts (Bcmp (Rne, Ivar x, Iconst 0))));
   (* negated equality likewise *)
-  Alcotest.(check int) "not eq" 2 (List.length (Dnf.dnf (Bnot (Bcmp (Req, Ivar x, Iconst 0)))))
+  Alcotest.(check int) "not eq" 2 (List.length (disjuncts (Bnot (Bcmp (Req, Ivar x, Iconst 0)))));
+  (* the same disjuncts, literal for literal, as the eager expansion *)
+  let c = Bcmp (Req, Ivar y, Iconst 1) in
+  List.iter
+    (fun f ->
+      Alcotest.(check bool) "eager order" true (disjuncts f = Eager_dnf.dnf (Dnf.nnf f)))
+    [ Band (Bor (a, b), Bor (b, c)); Bor (Band (a, Bor (b, c)), Band (Bor (c, a), Bnot b));
+      Band (Bnot (Band (a, c)), Bor (b, Bconst true)) ]
 
 let test_dnf_negation_is_integer_aware () =
   (* ~(x <= y) must become y + 1 <= x *)
-  match Dnf.dnf (Bnot (Bcmp (Rle, Ivar x, Ivar y))) with
+  match disjuncts (Bnot (Bcmp (Rle, Ivar x, Ivar y))) with
   | [ [ Dnf.Lle (Iadd (Ivar y', Iconst 1), Ivar x') ] ] ->
       Alcotest.(check bool) "vars" true (Ivar.equal x' x && Ivar.equal y' y)
   | other ->
       Alcotest.failf "unexpected DNF (%d disjuncts)" (List.length other)
 
 let test_dnf_cap () =
-  (* 2^15 disjuncts exceeds the cap *)
+  (* 2^16 disjuncts, each refuted only once complete: past the cap *)
   let a = Bor (Bcmp (Rle, Ivar x, Iconst 0), Bcmp (Rge, Ivar x, Iconst 1)) in
   let rec build n = if n = 0 then a else Band (a, build (n - 1)) in
-  match Dnf.dnf (build 15) with
+  match Dnf.refute ~refuted:(fun lits -> List.length lits = 16) (Dnf.nnf (build 15)) with
   | _ -> Alcotest.fail "expected Too_large"
   | exception Dnf.Too_large -> ()
 

@@ -1,11 +1,12 @@
 (* Differential solver fuzzing: random linear goals (bounded coefficients,
    div/mod in the shapes binary search and byte-copy produce) cross-check
    Fourier--Motzkin against the rational simplex, with random-assignment
-   falsification as a soundness oracle.  Metamorphic companions check that
-   satisfiability is invariant under conjunct permutation, variable renaming
-   and positive coefficient scaling — and that the cache canonicalizer maps
-   all three onto the same digest, so a cached verdict is replayed for
-   exactly the goals it is valid for. *)
+   falsification as a soundness oracle, and the lazy case-splitting search
+   against the eager normal-form expansion it replaced.  Metamorphic
+   companions check that satisfiability is invariant under conjunct
+   permutation, variable renaming and positive coefficient scaling — and
+   that the cache canonicalizer maps all three onto the same digest, so a
+   cached verdict is replayed for exactly the goals it is valid for. *)
 
 open Dml_index
 open Dml_constr
@@ -238,9 +239,36 @@ let differential tg =
   if not sound then QCheck.Test.fail_report "method claims Valid against a concrete model";
   true
 
+(* The lazy case-splitting search must reach the eager expansion's verdict
+   under every method, hint string included: it reports the same first open
+   disjunct.  Two differences are allowed, both a proof the eager expansion
+   missed: a goal it gave up on (too many disjuncts), and, under the
+   tightened rule only, a goal it left open.  Tightening is not monotone in
+   the system (a larger system changes the elimination order), so a
+   conjunction the search refutes on its way down may sit below a complete
+   disjunct the tightened elimination cannot refute; the refutation of the
+   smaller conjunction is sound, so the goal is valid (see
+   [test_tightening_not_monotone]).  The falsification oracle in
+   [differential] still rules out every Valid claimed against a concrete
+   model. *)
+let lazy_matches_eager tg =
+  let g = goal_of_tgoal tg in
+  List.iter
+    (fun (m, name) ->
+      let lazy_ = Solver.check_goal ~method_:m g and eager = Eager_dnf.check ~method_:m g in
+      match (eager, lazy_) with
+      | (Solver.Unsupported _ | Solver.Timeout _), Solver.Valid -> ()
+      | Solver.Not_valid _, Solver.Valid when m = Solver.Fm_tightened -> ()
+      | _ ->
+          if lazy_ <> eager then
+            QCheck.Test.fail_reportf "lazy and eager disagree under %s: lazy=%a eager=%a" name
+              Solver.pp_verdict lazy_ Solver.pp_verdict eager)
+    methods;
+  true
+
 let diff_test =
   QCheck.Test.make ~count:1000 ~name:"fm vs simplex differential" (arb_tgoal ~div:true)
-    differential
+    (fun tg -> differential tg && lazy_matches_eager tg)
 
 (* --- lane parity: the machine-int fast path vs bignum --------------------------- *)
 
@@ -495,6 +523,41 @@ let test_fractional_witness () =
   Alcotest.(check string) "tightened still refutes 2x = 1" "valid"
     (Solver.verdict_slug (Solver.check_goal ~method_:Solver.Fm_tightened g))
 
+(* v0 <> 0 /\ mod(v0, 8) = 4*v0 + 1 |- v1 = div(v1, 4), found by the
+   fuzzer: [mod(v0, 8) = 4*v0 + 1] has no integer solution (the remainder
+   bounds force v0 in {0, 1}, and neither fits), and the tightened
+   elimination refutes the conjunctive core, but not the eager expansion's
+   first disjunct, whose extra literals change the elimination order.  The
+   search proves the goal from the core; the rational methods, monotone,
+   agree with the eager expansion exactly. *)
+let test_tightening_not_monotone () =
+  let v0 = Ivar.fresh "v0" and v1 = Ivar.fresh "v1" in
+  let iv x = Idx.Ivar x in
+  let g =
+    {
+      Constr.goal_vars = [ (v0, Idx.Sint); (v1, Idx.Sint) ];
+      goal_hyps =
+        [
+          Idx.Bcmp (Idx.Rne, iv v0, Idx.Iconst 0);
+          Idx.Bcmp
+            ( Idx.Req,
+              Idx.Imod (iv v0, Idx.Iconst 8),
+              Idx.Iadd (Idx.Imul (Idx.Iconst 4, iv v0), Idx.Iconst 1) );
+        ];
+      goal_concl = Idx.Bcmp (Idx.Req, iv v1, Idx.Idiv (iv v1, Idx.Iconst 4));
+    }
+  in
+  let slug v = Solver.verdict_slug v in
+  Alcotest.(check string) "eager tightened misses it" "not-valid"
+    (slug (Eager_dnf.check ~method_:Solver.Fm_tightened g));
+  Alcotest.(check string) "lazy tightened proves it" "valid"
+    (slug (Solver.check_goal ~method_:Solver.Fm_tightened g));
+  List.iter
+    (fun m ->
+      Alcotest.(check bool) "rational methods agree exactly" true
+        (Solver.check_goal ~method_:m g = Eager_dnf.check ~method_:m g))
+    [ Solver.Fm_plain; Solver.Simplex_rational ]
+
 let () =
   Alcotest.run "solver-diff"
     [
@@ -510,5 +573,6 @@ let () =
             test_forced_overflow_escalation;
           Alcotest.test_case "fractional witness survives reconstruction" `Quick
             test_fractional_witness;
+          Alcotest.test_case "tightening is not monotone" `Quick test_tightening_not_monotone;
         ] );
     ]
