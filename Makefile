@@ -1,4 +1,4 @@
-.PHONY: all check build test fuzz bench-json bench-load bench-gate bench-solver bench-incr bench-native clean
+.PHONY: all check build test fuzz bench-json bench-load bench-gate bench-incr bench-native clean
 
 all: build
 
@@ -35,12 +35,6 @@ bench-load: build
 # design — it catches lost-memo-class regressions, not percent drift).
 bench-gate: bench-load
 	dune exec bench/gate.exe -- --run BENCH_dmld.json --baseline bench/baseline_dmld.json
-
-# The two-lane solver ablation (schema dml-bench/1): every Table 1 proof
-# obligation solved on the bignum lane and on the machine-int lane, with the
-# native/bignum speedup recorded in the artifact.
-bench-solver: build
-	timeout 300 dune exec bench/solver.exe -- --out BENCH_solver.json
 
 # Incremental recheck latency by edit size (schema dml-bench/1): the Table 1
 # corpus as one editor buffer, re-checked after a 1-declaration, ~10% and

@@ -56,20 +56,6 @@ let solver_method =
   let doc = "Constraint solver: fm (Fourier-Motzkin with integral tightening), fm-plain, simplex." in
   Arg.(value & opt (enum methods) Dml_solver.Solver.Fm_tightened & info [ "solver" ] ~doc)
 
-let solver_lane =
-  let lanes =
-    [
-      ("auto", Dml_solver.Solver.Lane_auto);
-      ("native", Dml_solver.Solver.Lane_native);
-      ("bignum", Dml_solver.Solver.Lane_bignum);
-    ]
-  in
-  let doc = "Solver arithmetic lane: auto (machine-int fast path, escalating to \
-             arbitrary precision on checked overflow — the default), native (same \
-             fast path, named explicitly), or bignum (arbitrary precision only).  \
-             Verdicts are identical on every lane; only speed differs." in
-  Arg.(value & opt (enum lanes) Dml_solver.Solver.Lane_auto & info [ "solver-lane" ] ~doc)
-
 (* Per-obligation solver budget and escalation; together with the method this
    builds the session's solve_config. *)
 let solve_config =
@@ -91,10 +77,10 @@ let solve_config =
                under the remaining budget." in
     Arg.(value & flag & info [ "escalate" ] ~doc)
   in
-  let build sc_method sc_lane sc_escalate sc_fuel sc_timeout_ms sc_max_eliminations =
-    { Session.sc_method; sc_lane; sc_escalate; sc_fuel; sc_timeout_ms; sc_max_eliminations }
+  let build sc_method sc_escalate sc_fuel sc_timeout_ms sc_max_eliminations =
+    { Session.sc_method; sc_escalate; sc_fuel; sc_timeout_ms; sc_max_eliminations }
   in
-  Term.(const build $ solver_method $ solver_lane $ escalate $ fuel $ timeout_ms $ max_elim)
+  Term.(const build $ solver_method $ escalate $ fuel $ timeout_ms $ max_elim)
 
 (* --- verdict cache ----------------------------------------------------------- *)
 

@@ -1,4 +1,5 @@
 open Dml_index
+module Bigint = Dml_numeric.Bigint
 
 type t =
   | Top
@@ -99,18 +100,24 @@ let to_string phi = Format.asprintf "%a" pp phi
 (* --- Solving a linear equation for a variable ------------------------- *)
 
 (* A partial linear view of an index expression: constant + coefficient map.
-   Returns None on any construct that is not affine (div, mod, min, ...) or
-   any product of two non-constant parts. *)
+   Returns None on any construct that is not affine (div, mod, min, ...),
+   any product of two non-constant parts, or any constant or coefficient
+   outside the native range ([min_int] included, so negating one is exact). *)
 let linear_view e =
   let open Idx in
+  let exception Overflow in
+  let exact op x y =
+    match exact_int op x y with Some n when n <> min_int -> n | _ -> raise Overflow
+  in
   let rec go = function
     | Ivar v -> Some (0, Ivar.Map.singleton v 1)
-    | Iconst n -> Some (n, Ivar.Map.empty)
-    | Iadd (a, b) -> combine ( + ) a b
-    | Isub (a, b) -> combine ( - ) a b
+    | Iconst n -> if n = min_int then raise Overflow else Some (n, Ivar.Map.empty)
+    | Iadd (a, b) -> combine Bigint.add a b
+    | Isub (a, b) -> combine Bigint.sub a b
     | Ineg a -> Option.map (fun (c, m) -> (-c, Ivar.Map.map (fun k -> -k) m)) (go a)
     | Imul (Iconst k, a) | Imul (a, Iconst k) ->
-        Option.map (fun (c, m) -> (k * c, Ivar.Map.map (fun x -> k * x) m)) (go a)
+        let scale = exact Bigint.mul k in
+        Option.map (fun (c, m) -> (scale c, Ivar.Map.map scale m)) (go a)
     | Imul _ | Idiv _ | Imod _ | Imin _ | Imax _ | Iabs _ | Isgn _ -> None
   and combine op a b =
     match (go a, go b) with
@@ -118,14 +125,14 @@ let linear_view e =
         let m =
           Ivar.Map.merge
             (fun _ x y ->
-              let v = op (Option.value x ~default:0) (Option.value y ~default:0) in
+              let v = exact op (Option.value x ~default:0) (Option.value y ~default:0) in
               if v = 0 then None else Some v)
             ma mb
         in
-        Some (op ca cb, m)
+        Some (exact op ca cb, m)
     | _ -> None
   in
-  go e
+  match go e with view -> view | exception Overflow -> None
 
 (* Rebuild an index expression from a linear view. *)
 let of_linear_view (c, m) =

@@ -33,7 +33,6 @@ type checked_obligation = {
 
 type solve_config = Session.solve_config = {
   sc_method : Solver.method_;  (** first (or only) method tried per goal *)
-  sc_lane : Solver.lane;  (** machine-int fast path vs bignum arithmetic *)
   sc_escalate : bool;
       (** retry unproven goals along {!Solver.default_ladder} under the
           remaining budget *)

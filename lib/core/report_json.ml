@@ -12,22 +12,16 @@ let json_of_fm (fm : Fourier.stats) =
 
 let solver_stats_to_json (s : Solver.stats) =
   J.Obj
-    ([
-       ("goals", J.Int s.Solver.checked_goals);
-       ("disjuncts", J.Int s.Solver.disjuncts);
-       ("solve_s", J.Float s.Solver.solve_time);
-       ("timeouts", J.Int s.Solver.timeouts);
-       ("escalations", J.Int s.Solver.escalations);
-       ("cache_hits", J.Int s.Solver.cache_hits);
-       ("cache_misses", J.Int s.Solver.cache_misses);
-     ]
-    (* emitted only when an overflow actually escalated, keeping the
-       default report byte-stable: every goal in the paper corpus solves
-       on the machine-int lane without overflowing *)
-    @ (if s.Solver.overflow_escalations > 0 then
-         [ ("overflow_escalations", J.Int s.Solver.overflow_escalations) ]
-       else [])
-    @ [ ("fm", json_of_fm s.Solver.fm) ])
+    [
+      ("goals", J.Int s.Solver.checked_goals);
+      ("disjuncts", J.Int s.Solver.disjuncts);
+      ("solve_s", J.Float s.Solver.solve_time);
+      ("timeouts", J.Int s.Solver.timeouts);
+      ("escalations", J.Int s.Solver.escalations);
+      ("cache_hits", J.Int s.Solver.cache_hits);
+      ("cache_misses", J.Int s.Solver.cache_misses);
+      ("fm", json_of_fm s.Solver.fm);
+    ]
 
 let json_of_verdict v =
   match v with

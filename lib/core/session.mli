@@ -26,10 +26,6 @@ open Dml_solver
 
 type solve_config = {
   sc_method : Solver.method_;  (** first (or only) method tried per goal *)
-  sc_lane : Solver.lane;
-      (** arithmetic lane: machine-int fast path vs bignum (default
-          {!Solver.Lane_auto}, native-first).  Folded into the options
-          fingerprint only when forced away from the default. *)
   sc_escalate : bool;
       (** retry unproven goals along {!Solver.default_ladder} under the
           remaining budget *)

@@ -1,3 +1,5 @@
+module Bigint = Dml_numeric.Bigint
+
 type iexp =
   | Ivar of Ivar.t
   | Iconst of int
@@ -27,21 +29,27 @@ type sort = Sint | Sbool | Ssubset of Ivar.t * sort * bexp
 let ivar v = Ivar v
 let iconst n = Iconst n
 
+let exact_int op x y = Bigint.to_int (op (Bigint.of_int x) (Bigint.of_int y))
+
+(* Constants fold exactly; a result outside the [int] range leaves the node
+   unfolded, and the solver's exact translation computes it. *)
+let fold op node x y = match exact_int op x y with Some n -> Iconst n | None -> node
+
 let iadd a b =
   match (a, b) with
-  | Iconst x, Iconst y -> Iconst (x + y)
+  | Iconst x, Iconst y -> fold Bigint.add (Iadd (a, b)) x y
   | Iconst 0, e | e, Iconst 0 -> e
   | _ -> Iadd (a, b)
 
 let isub a b =
   match (a, b) with
-  | Iconst x, Iconst y -> Iconst (x - y)
+  | Iconst x, Iconst y -> fold Bigint.sub (Isub (a, b)) x y
   | e, Iconst 0 -> e
   | _ -> Isub (a, b)
 
 let imul a b =
   match (a, b) with
-  | Iconst x, Iconst y -> Iconst (x * y)
+  | Iconst x, Iconst y -> fold Bigint.mul (Imul (a, b)) x y
   | Iconst 1, e | e, Iconst 1 -> e
   | (Iconst 0 as z), _ | _, (Iconst 0 as z) -> z
   | _ -> Imul (a, b)

@@ -43,10 +43,20 @@ val ivar : Ivar.t -> iexp
 val iconst : int -> iexp
 
 val iadd : iexp -> iexp -> iexp
-(** Constant-folds when both sides are constants; [e+0 = e]. *)
+(** Constant-folds when both sides are constants and the exact result fits
+    in an [int] (otherwise the node stays unfolded); [e+0 = e]. *)
 
 val isub : iexp -> iexp -> iexp
+(** Folds constants like {!iadd}; [e-0 = e]. *)
+
 val imul : iexp -> iexp -> iexp
+(** Folds constants like {!iadd}; [1*e = e] and [0*e = 0]. *)
+
+val exact_int :
+  (Dml_numeric.Bigint.t -> Dml_numeric.Bigint.t -> Dml_numeric.Bigint.t) -> int -> int -> int option
+(** [exact_int op x y] is [op x y] computed exactly, or [None] when it does
+    not fit in an [int]. *)
+
 val band : bexp -> bexp -> bexp
 val bor : bexp -> bexp -> bexp
 val bnot : bexp -> bexp

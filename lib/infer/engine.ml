@@ -96,7 +96,7 @@ let test_goal st g =
   let config = Session.solve st.session in
   let budget = Session.budget_of_solve_config config in
   let cache = Session.cache st.session in
-  Solver.check_constraint ~method_:config.Session.sc_method ~lane:config.Session.sc_lane
+  Solver.check_constraint ~method_:config.Session.sc_method
     ~escalate:config.Session.sc_escalate ~stats:st.solver_stats ?budget ?cache
     (constr_of_goal g)
 

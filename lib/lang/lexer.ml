@@ -37,12 +37,14 @@ let rec skip_comment st depth start =
       skip_comment st depth start
   | None, _ -> raise (Error ("unterminated comment", Loc.make start (current_pos st)))
 
-let lex_number st =
+let lex_number st start_pos =
   let start = st.pos in
   while (match peek st with Some c when is_digit c -> true | _ -> false) do
     advance st
   done;
-  int_of_string (String.sub st.src start (st.pos - start))
+  match int_of_string_opt (String.sub st.src start (st.pos - start)) with
+  | Some n -> n
+  | None -> raise (Error ("integer literal out of range", Loc.make start_pos (current_pos st)))
 
 (* string body after the opening quote; handles backslash escapes for
    newline, tab, backslash, and the double quote *)
@@ -103,7 +105,7 @@ let rec next_token st =
   let open Token in
   match peek st with
   | None -> tok EOF
-  | Some c when is_digit c -> tok (INT (lex_number st))
+  | Some c when is_digit c -> tok (INT (lex_number st start))
   | Some c when is_alpha c || c = '_' -> begin
       let s = lex_ident st in
       if s = "_" then tok UNDERSCORE

@@ -4,8 +4,17 @@
     pairs of coefficients at every elimination step, so coefficient growth is
     exponential in the number of eliminated variables.  Working over a bignum
     type makes the solver's soundness independent of the size of the input
-    constraints.  The representation is a sign and a little-endian array of
-    base-2^30 limbs; all operations are purely functional. *)
+    constraints.
+
+    Almost every value the solver meets is small, so the representation has
+    two cases: a native [int] for every value of the [int] range except
+    [min_int], and a sign with a little-endian array of base-2^30 limbs for
+    every other value (magnitude at least 2^62).  Operations on two small
+    values use overflow-checked native arithmetic and fall back to the limb
+    code only when the exact result leaves the small range.  The
+    representation is canonical — each value has exactly one — so the
+    polymorphic equality [=] coincides with {!equal}.  All operations are
+    purely functional. *)
 
 type t
 
@@ -22,7 +31,7 @@ val to_int_exn : t -> int
 (** @raise Failure when the value does not fit in a native [int]. *)
 
 val of_string : string -> t
-(** Accepts an optional leading [-] followed by decimal digits.
+(** Accepts an optional leading [-] or [+] followed by decimal digits.
     @raise Invalid_argument on malformed input. *)
 
 val to_string : t -> string

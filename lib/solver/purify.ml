@@ -36,6 +36,8 @@ let rec rw_iexp st e =
   | Idiv (a, b) -> begin
       let a = rw_iexp st a in
       match rw_iexp st b with
+      (* [k - 1] and [k + 1] stay in the [int] range under their guards,
+         and [imul]/[iadd] fold constants exactly *)
       | Iconst k when k > 0 ->
           (* q = floor(a/k): k*q <= a /\ a <= k*q + (k-1) *)
           define st (Idiv (a, Iconst k)) "q" (fun q ->

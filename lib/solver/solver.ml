@@ -6,19 +6,6 @@ module Trace = Dml_obs.Trace
 
 type method_ = Fm_tightened | Fm_plain | Simplex_rational
 
-type lane = Lane_bignum | Lane_native | Lane_auto
-
-let lane_slug = function
-  | Lane_bignum -> "bignum"
-  | Lane_native -> "native"
-  | Lane_auto -> "auto"
-
-let lane_of_slug = function
-  | "bignum" -> Some Lane_bignum
-  | "native" -> Some Lane_native
-  | "auto" -> Some Lane_auto
-  | _ -> None
-
 type verdict = Valid | Not_valid of string | Unsupported of string | Timeout of string
 
 type stats = {
@@ -30,8 +17,6 @@ type stats = {
   mutable escalations : int;
   mutable cache_hits : int;
   mutable cache_misses : int;
-  mutable native_solves : int;
-  mutable overflow_escalations : int;
 }
 
 (* Registry instruments: the process-wide spine the per-run [stats] records
@@ -44,8 +29,6 @@ let m_escalations = Metrics.counter "solver.escalations"
 let m_cache_hits = Metrics.counter "solver.cache_hits"
 let m_cache_misses = Metrics.counter "solver.cache_misses"
 let m_solves = Metrics.counter "solver.uncached_solves"
-let m_native_solves = Metrics.counter "solver.native_solves"
-let m_overflow_escalations = Metrics.counter "solver.overflow_escalations"
 let h_solve_ms = Metrics.histogram "solver.solve_ms"
 
 let h_dnf_disjuncts =
@@ -61,8 +44,6 @@ let new_stats () =
     escalations = 0;
     cache_hits = 0;
     cache_misses = 0;
-    native_solves = 0;
-    overflow_escalations = 0;
   }
 
 let merge_stats ~into (s : stats) =
@@ -73,8 +54,6 @@ let merge_stats ~into (s : stats) =
   into.escalations <- into.escalations + s.escalations;
   into.cache_hits <- into.cache_hits + s.cache_hits;
   into.cache_misses <- into.cache_misses + s.cache_misses;
-  into.native_solves <- into.native_solves + s.native_solves;
-  into.overflow_escalations <- into.overflow_escalations + s.overflow_escalations;
   let fm = into.fm and fm' = s.fm in
   fm.Fourier.eliminations <- fm.Fourier.eliminations + fm'.Fourier.eliminations;
   fm.Fourier.combinations <- fm.Fourier.combinations + fm'.Fourier.combinations;
@@ -119,55 +98,12 @@ let system_of_atoms atoms =
   | cs -> Some cs
   | exception Bool_contradiction -> None
 
-let refute_bignum ?stats ?budget method_ system =
+let refutes ?stats ?budget method_ system =
   let fm_stats = Option.map (fun s -> s.fm) stats in
   match method_ with
-  | Fm_tightened -> (
-      match Fourier.check ?stats:fm_stats ?budget ~tighten:true system with
-      | Fourier.Unsat -> `Refuted
-      | Fourier.Sat -> `Open)
-  | Fm_plain -> (
-      match Fourier.check ?stats:fm_stats ?budget ~tighten:false system with
-      | Fourier.Unsat -> `Refuted
-      | Fourier.Sat -> `Open)
-  | Simplex_rational -> (
-      match Simplex.check ?budget system with Simplex.Unsat -> `Refuted | Simplex.Sat -> `Open)
-
-let refute_native ?stats ?budget method_ system =
-  let fm_stats = Option.map (fun s -> s.fm) stats in
-  match method_ with
-  | Fm_tightened -> (
-      match Nfourier.check ?stats:fm_stats ?budget ~tighten:true system with
-      | Fourier.Unsat -> `Refuted
-      | Fourier.Sat -> `Open)
-  | Fm_plain -> (
-      match Nfourier.check ?stats:fm_stats ?budget ~tighten:false system with
-      | Fourier.Unsat -> `Refuted
-      | Fourier.Sat -> `Open)
-  | Simplex_rational -> (
-      match Nsimplex.check ?budget system with
-      | Nsimplex.Unsat -> `Refuted
-      | Nsimplex.Sat -> `Open)
-
-(* One disjunct, one method, lane-dispatched.  The native lane mirrors the
-   bignum algorithms exactly, so a completed native run IS the bignum
-   verdict; on [Checked.Overflow] the untouched bignum system is re-solved.
-   Overflow escalations are counted separately from ladder escalations —
-   they are an arithmetic-representation event, not an extra proof-method
-   attempt. *)
-let refute ?stats ?budget ~lane method_ system =
-  match lane with
-  | Lane_bignum -> refute_bignum ?stats ?budget method_ system
-  | Lane_native | Lane_auto -> (
-      match refute_native ?stats ?budget method_ system with
-      | answer ->
-          Option.iter (fun s -> s.native_solves <- s.native_solves + 1) stats;
-          Metrics.incr m_native_solves;
-          answer
-      | exception Checked.Overflow ->
-          Option.iter (fun s -> s.overflow_escalations <- s.overflow_escalations + 1) stats;
-          Metrics.incr m_overflow_escalations;
-          refute_bignum ?stats ?budget method_ system)
+  | Fm_tightened -> Fourier.check ?stats:fm_stats ?budget ~tighten:true system = Fourier.Unsat
+  | Fm_plain -> Fourier.check ?stats:fm_stats ?budget ~tighten:false system = Fourier.Unsat
+  | Simplex_rational -> Simplex.check ?budget system = Simplex.Unsat
 
 let model_to_string model =
   let parts =
@@ -188,7 +124,7 @@ let rat_model_to_string model =
   in
   String.concat ", " (List.rev parts)
 
-let check_goal_uncached ?(method_ = Fm_tightened) ?(lane = Lane_auto) ?stats ?budget goal =
+let check_goal_uncached ?(method_ = Fm_tightened) ?stats ?budget goal =
   let t0 = Budget.now () in
   Option.iter (fun s -> s.checked_goals <- s.checked_goals + 1) stats;
   Metrics.incr m_goals;
@@ -206,7 +142,7 @@ let check_goal_uncached ?(method_ = Fm_tightened) ?(lane = Lane_auto) ?stats ?bu
           let refuted atoms =
             match system_of_atoms atoms with
             | None -> true
-            | Some system -> refute ?stats ?budget ~lane method_ system = `Refuted
+            | Some system -> refutes ?stats ?budget method_ system
           in
           match Dnf.refute ?budget ~refuted nf with
           | exception Dnf.Too_large -> Unsupported "constraint normal form too large"
@@ -267,7 +203,7 @@ let verdict_slug = function
 (* The front door with the cache and the trace span around it.  The second
    component reports where the verdict came from, so the escalation ladder
    can count only uncached solves and the span can carry the cache status. *)
-let check_goal_status ~method_ ?(lane = Lane_auto) ?stats ?budget ?cache goal =
+let check_goal_status ~method_ ?stats ?budget ?cache goal =
   let sp = Trace.start "solve" in
   let fm0, disj0 =
     if Trace.real sp then
@@ -290,7 +226,7 @@ let check_goal_status ~method_ ?(lane = Lane_auto) ?stats ?budget ?cache goal =
   in
   let verdict, status =
     match (cache, digest) with
-    | None, _ | _, None -> (check_goal_uncached ~method_ ~lane ?stats ?budget goal, `Uncached)
+    | None, _ | _, None -> (check_goal_uncached ~method_ ?stats ?budget goal, `Uncached)
     | Some cache, Some digest -> (
         let m = method_slug method_ in
         match Dml_cache.Cache.find cache ~digest ~method_:m ~tier with
@@ -308,7 +244,7 @@ let check_goal_status ~method_ ?(lane = Lane_auto) ?stats ?budget ?cache goal =
         | None ->
             Option.iter (fun s -> s.cache_misses <- s.cache_misses + 1) stats;
             Metrics.incr m_cache_misses;
-            let v = check_goal_uncached ~method_ ~lane ?stats ?budget goal in
+            let v = check_goal_uncached ~method_ ?stats ?budget goal in
             Dml_cache.Cache.add cache ~digest ~method_:m ~tier (cached_of_verdict v);
             (v, `Miss))
   in
@@ -327,8 +263,8 @@ let check_goal_status ~method_ ?(lane = Lane_auto) ?stats ?budget ?cache goal =
   Trace.finish sp;
   (verdict, status)
 
-let check_goal ?(method_ = Fm_tightened) ?lane ?stats ?budget ?cache goal =
-  fst (check_goal_status ~method_ ?lane ?stats ?budget ?cache goal)
+let check_goal ?(method_ = Fm_tightened) ?stats ?budget ?cache goal =
+  fst (check_goal_status ~method_ ?stats ?budget ?cache goal)
 
 let default_ladder = [ Fm_plain; Fm_tightened; Simplex_rational ]
 
@@ -340,11 +276,11 @@ let verdict_rank = function
   | Timeout _ -> 1
   | Unsupported _ -> 0
 
-let check_goal_escalating ?(ladder = default_ladder) ?lane ?stats ?budget ?cache goal =
+let check_goal_escalating ?(ladder = default_ladder) ?stats ?budget ?cache goal =
   let rec go best = function
     | [] -> best
     | method_ :: rest -> (
-        match check_goal_status ~method_ ?lane ?stats ?budget ?cache goal with
+        match check_goal_status ~method_ ?stats ?budget ?cache goal with
         | Valid, _ -> Valid
         | v, status ->
             (* an escalation is a real extra solve: a rung answered by the
@@ -358,7 +294,7 @@ let check_goal_escalating ?(ladder = default_ladder) ?lane ?stats ?budget ?cache
   in
   go (Unsupported "empty escalation ladder") ladder
 
-let check_constraint ?method_ ?lane ?(escalate = false) ?stats ?budget ?cache phi =
+let check_constraint ?method_ ?(escalate = false) ?stats ?budget ?cache phi =
   match
     let phi = Constr.eliminate_existentials phi in
     Constr.goals phi
@@ -375,8 +311,8 @@ let check_constraint ?method_ ?lane ?(escalate = false) ?stats ?budget ?cache ph
             | None -> default_ladder
             | Some m -> m :: List.filter (fun m' -> m' <> m) default_ladder
           in
-          check_goal_escalating ~ladder ?lane ?stats ?budget ?cache g
-        else check_goal ?method_ ?lane ?stats ?budget ?cache g
+          check_goal_escalating ~ladder ?stats ?budget ?cache g
+        else check_goal ?method_ ?stats ?budget ?cache g
       in
       let rec go = function
         | [] -> Valid

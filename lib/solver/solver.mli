@@ -25,19 +25,6 @@ type method_ =
   | Fm_plain  (** Fourier--Motzkin without tightening (ablation) *)
   | Simplex_rational  (** rational simplex baseline (ablation) *)
 
-type lane =
-  | Lane_bignum  (** arbitrary-precision arithmetic only (the original path) *)
-  | Lane_native
-      (** machine-int fast path with checked arithmetic; overflow re-solves
-          the untouched system on the bignum lane *)
-  | Lane_auto  (** native-first — currently identical to [Lane_native] *)
-
-val lane_slug : lane -> string
-(** Machine-readable lane tag (["bignum"], ["native"], ["auto"]), the same
-    strings the CLI's [--solver-lane] accepts. *)
-
-val lane_of_slug : string -> lane option
-
 type verdict =
   | Valid
   | Not_valid of string
@@ -66,12 +53,6 @@ type stats = {
           escalation *)
   mutable cache_hits : int;  (** goals answered by the verdict cache *)
   mutable cache_misses : int;  (** cache lookups that fell through to a solve *)
-  mutable native_solves : int;
-      (** disjunct refutations completed on the machine-int lane *)
-  mutable overflow_escalations : int;
-      (** native-lane runs that overflowed and re-solved on the bignum lane;
-          deliberately separate from [escalations], which counts
-          proof-method ladder steps *)
 }
 
 val new_stats : unit -> stats
@@ -88,7 +69,6 @@ val method_slug : method_ -> string
 
 val check_goal :
   ?method_:method_ ->
-  ?lane:lane ->
   ?stats:stats ->
   ?budget:Budget.t ->
   ?cache:Dml_cache.Cache.t ->
@@ -96,12 +76,6 @@ val check_goal :
   verdict
 (** Decide one goal with a single method.  Never raises: budget exhaustion
     and solver faults are converted to verdicts (see the module preamble).
-
-    [?lane] (default [Lane_auto]) picks the arithmetic: the machine-int
-    fast path first, escalating to bignum on checked overflow.  The native
-    algorithms mirror the bignum ones choice-for-choice, so the verdict —
-    and the cache entry it produces — is lane-invariant; lanes therefore
-    share cache keys.
 
     With [?cache] the goal is canonicalized and looked up under
     [(digest, method, budget tier)] first; a reusable verdict (see
@@ -117,7 +91,6 @@ val default_ladder : method_ list
 
 val check_goal_escalating :
   ?ladder:method_ list ->
-  ?lane:lane ->
   ?stats:stats ->
   ?budget:Budget.t ->
   ?cache:Dml_cache.Cache.t ->
@@ -132,7 +105,6 @@ val check_goal_escalating :
 
 val check_constraint :
   ?method_:method_ ->
-  ?lane:lane ->
   ?escalate:bool ->
   ?stats:stats ->
   ?budget:Budget.t ->

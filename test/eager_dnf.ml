@@ -1,7 +1,7 @@
 (* The eager decision procedure the solver's lazy case-splitting search
    replaced, kept as a test oracle: expand the whole disjunctive normal form,
    then refute its disjuncts in order and report the first one left open.
-   Same literals, same cap, same hint; no budget, bignum arithmetic only. *)
+   Same literals, same cap, same hint; no budget. *)
 
 open Dml_index
 open Dml_solver

@@ -23,7 +23,9 @@ let test_string_roundtrip () =
       "123456789012345678901234567890";
       "-999999999999999999999999999999999999";
       "4611686018427387904" (* 2^62, one past max_int *);
-    ]
+    ];
+  (* [of_string] also accepts a leading [+] *)
+  Alcotest.check bi "+7" (B.of_int 7) (B.of_string "+7")
 
 let test_of_string_invalid () =
   List.iter
@@ -146,6 +148,91 @@ let properties =
         && (B.is_zero r || B.sign r = B.sign b'));
   ]
 
+(* --- differential against the limb-only implementation -------------------- *)
+
+(* Operands cluster where the machine-int fast path meets the limb path:
+   near 0, +-1, +-2^30, +-2^31, +-2^62, +-max_int and min_int, plus random
+   multi-limb decimals.  Each operand is a decimal string, read by both
+   implementations. *)
+module L = Bigint_limbs
+
+let anchors =
+  let rec pow2 k = if k = 0 then L.one else L.mul_int (pow2 (k - 1)) 2 in
+  let pos = [ L.zero; L.one; pow2 30; pow2 31; pow2 62; L.of_int max_int ] in
+  (L.of_int min_int :: pos) @ List.map L.neg pos
+
+let gen_operand =
+  let open QCheck.Gen in
+  let near =
+    map2 (fun a d -> L.to_string (L.add a (L.of_int d))) (oneofl anchors) (int_range (-2) 2)
+  in
+  let multi_limb =
+    map3
+      (fun neg first rest ->
+        (if neg then "-" else "")
+        ^ string_of_int first
+        ^ String.concat "" (List.map string_of_int rest))
+      bool (int_range 1 9) (list_size (int_range 0 40) (int_bound 9))
+  in
+  frequency [ (3, near); (1, multi_limb) ]
+
+let arb_operand = QCheck.make ~print:Fun.id gen_operand
+
+(* a native int operand for [mul_int] *)
+let gen_small =
+  QCheck.Gen.(
+    map (fun s -> match L.to_int (L.of_string s) with Some n -> n | None -> 7) gen_operand)
+
+(* [x] is the canonical representation of [expected]: it prints the same,
+   and is structurally equal to the value [of_string] and [of_int] build. *)
+let canonical x expected =
+  let s = L.to_string expected in
+  B.to_string x = s
+  && x = B.of_string s
+  && match B.to_int x with Some n -> x = B.of_int n | None -> L.to_int expected = None
+
+let same name ok = if ok then true else QCheck.Test.fail_reportf "%s differs" name
+
+let differential (a, b) =
+  let x = B.of_string a and y = B.of_string b in
+  let x' = L.of_string a and y' = L.of_string b in
+  let binop name op op' = same name (canonical (op x y) (op' x' y')) in
+  let divop name op op' =
+    if L.is_zero y' then
+      same name
+        (match op x y with _ -> false | exception Division_by_zero -> true)
+    else binop name op op'
+  in
+  same "of_string" (canonical x x')
+  && binop "add" B.add L.add
+  && binop "sub" B.sub L.sub
+  && binop "mul" B.mul L.mul
+  && same "neg" (canonical (B.neg x) (L.neg x'))
+  && same "abs" (canonical (B.abs x) (L.abs x'))
+  && divop "divmod q" (fun x y -> fst (B.divmod x y)) (fun x y -> fst (L.divmod x y))
+  && divop "divmod r" (fun x y -> snd (B.divmod x y)) (fun x y -> snd (L.divmod x y))
+  && divop "fdiv" B.fdiv L.fdiv
+  && divop "fmod" B.fmod L.fmod
+  && binop "gcd" B.gcd L.gcd
+  && same "compare" (B.compare x y = L.compare x' y')
+  && same "equal" (B.equal x y = L.equal x' y')
+  && same "structural equality" (x = y = L.equal x' y')
+  && same "to_int" (B.to_int x = L.to_int x')
+  && same "to_string" (B.to_string x = L.to_string x')
+  && same "sub undoes add" (B.sub (B.add x y) y = x)
+
+let differential_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:3000 ~name:"agrees with the limb implementation"
+         (QCheck.pair arb_operand arb_operand) differential);
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:1000 ~name:"mul_int agrees with the limb implementation"
+         (QCheck.pair arb_operand (QCheck.make ~print:string_of_int gen_small))
+         (fun (a, n) ->
+           same "mul_int" (canonical (B.mul_int (B.of_string a) n) (L.mul_int (L.of_string a) n))));
+  ]
+
 let () =
   Alcotest.run "bigint"
     [
@@ -163,4 +250,5 @@ let () =
           Alcotest.test_case "to_int overflow" `Quick test_to_int_overflow;
         ] );
       ("properties", properties);
+      ("limb differential", differential_tests);
     ]

@@ -53,6 +53,13 @@ let test_solve_equation () =
   (* a = a + 1 is not a definition of a *)
   Alcotest.(check bool) "self-referential a" true
     (Constr.solve_equation_for a (eq (Ivar a) (Iadd (Ivar a, Iconst 1))) = None);
+  (* a coefficient past max_int is not a native linear view *)
+  Alcotest.(check bool) "overflowing coefficient" true
+    (Constr.solve_equation_for a
+       (eq (Ivar a) (Imul (Iconst (1 lsl 40), Imul (Iconst (1 lsl 40), Ivar n))))
+    = None);
+  Alcotest.(check bool) "overflowing constant" true
+    (Constr.solve_equation_for a (eq (Ivar a) (Iadd (Iconst max_int, Iconst 2))) = None);
   (* non-affine contexts are rejected *)
   Alcotest.(check bool) "div blocks solving" true
     (Constr.solve_equation_for a (eq (Ivar a) (Idiv (Ivar n, Iconst 2))) = None)

@@ -186,6 +186,16 @@ val a = array(3, 0)
 val x = sub(a, ~1)
 |}
 
+(* [4611686018427387903 + 2] is max_int + 2: folded natively it wrapped to
+   a negative bound, the refinement became unsatisfiable and the access
+   proved vacuously. *)
+let test_bound_past_max_int () =
+  check_fails "bound past max_int"
+    {|
+fun get(a, i) = sub(a, i)
+where get <| {n:nat} {i:nat | i < 4611686018427387903 + 2} int array(n) * int(i) -> int
+|}
+
 let test_update () =
   ignore
     (check_ok "update in loop"
@@ -380,6 +390,7 @@ let () =
         [
           Alcotest.test_case "literal bounds" `Quick test_literal_bounds;
           Alcotest.test_case "update" `Quick test_update;
+          Alcotest.test_case "bound past max_int" `Quick test_bound_past_max_int;
           Alcotest.test_case "checked variants" `Quick test_checked_variants_always_ok;
           Alcotest.test_case "plain ML passthrough" `Quick test_unannotated_passthrough;
           Alcotest.test_case "list operations" `Quick test_list_ops;

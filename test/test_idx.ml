@@ -41,6 +41,24 @@ let test_smart_constructors () =
   Alcotest.(check bool) "false \\/ b" true (equal_bexp (Bvar n) (bor (Bconst false) (Bvar n)));
   Alcotest.(check bool) "double negation" true (equal_bexp (Bvar n) (bnot (bnot (Bvar n))))
 
+(* Constants fold only when the exact result is an [int]; otherwise the node
+   stays, for the solver's exact translation. *)
+let test_exact_folding () =
+  let big = 1 lsl 40 in
+  Alcotest.(check bool) "max_int + 2 unfolded" true
+    (equal_iexp (Iadd (Iconst max_int, Iconst 2)) (iadd (Iconst max_int) (Iconst 2)));
+  Alcotest.(check bool) "-max_int - 2 unfolded" true
+    (equal_iexp (Isub (Iconst (-max_int), Iconst 2)) (isub (Iconst (-max_int)) (Iconst 2)));
+  Alcotest.(check bool) "2^40 * 2^40 unfolded" true
+    (equal_iexp (Imul (Iconst big, Iconst big)) (imul (Iconst big) (Iconst big)));
+  Alcotest.(check bool) "max_int - 1 + 1 folds" true
+    (equal_iexp (Iconst max_int) (iadd (Iconst (max_int - 1)) (Iconst 1)));
+  Alcotest.(check bool) "2^31 * 2^30 folds" true
+    (equal_iexp (Iconst (1 lsl 61)) (imul (Iconst (1 lsl 31)) (Iconst (1 lsl 30))));
+  Alcotest.(check bool) "2^31 * 2^31 = 2^62 unfolded" true
+    (equal_iexp (Imul (Iconst (1 lsl 31), Iconst (1 lsl 31)))
+       (imul (Iconst (1 lsl 31)) (Iconst (1 lsl 31))))
+
 let test_subst () =
   let s = Ivar.Map.singleton n (iadd (Ivar m) (Iconst 1)) in
   let e = subst_iexp s (iadd (Ivar n) (Ivar n)) in
@@ -117,6 +135,7 @@ let () =
       ( "structure",
         [
           Alcotest.test_case "smart constructors" `Quick test_smart_constructors;
+          Alcotest.test_case "exact constant folding" `Quick test_exact_folding;
           Alcotest.test_case "substitution" `Quick test_subst;
           Alcotest.test_case "free variables" `Quick test_fv;
           Alcotest.test_case "sorts" `Quick test_sorts;

@@ -32,6 +32,17 @@ let test_lexer_errors () =
       Alcotest.(check bool) "mentions char" true
         (String.length msg > 0 && String.exists (fun c -> c = '$') msg)
 
+let test_lexer_int_range () =
+  let open Token in
+  Alcotest.(check bool) "max_int lexes" true
+    (toks "4611686018427387903" = [ INT max_int; EOF ]);
+  match Lexer.tokenize "val x = 99999999999999999999" with
+  | _ -> Alcotest.fail "expected an out-of-range literal error"
+  | exception Lexer.Error (msg, loc) ->
+      Alcotest.(check string) "message" "integer literal out of range" msg;
+      Alcotest.(check int) "starts at the literal" 9 loc.Loc.start_pos.Loc.col;
+      Alcotest.(check int) "ends after it" 29 loc.Loc.end_pos.Loc.col
+
 let test_lexer_positions () =
   let all = Lexer.tokenize "ab\n  cd" in
   match all with
@@ -291,6 +302,7 @@ let () =
           Alcotest.test_case "basics" `Quick test_lexer_basics;
           Alcotest.test_case "comments" `Quick test_lexer_comments;
           Alcotest.test_case "errors" `Quick test_lexer_errors;
+          Alcotest.test_case "integer literal range" `Quick test_lexer_int_range;
           Alcotest.test_case "positions" `Quick test_lexer_positions;
         ] );
       ( "expressions",

@@ -308,57 +308,6 @@ let test_escalations_not_counted_on_hits () =
   Alcotest.(check int) "every rung was a cache hit" 0 s2.Solver.cache_misses;
   Alcotest.(check bool) "cache hits were recorded" true (s2.Solver.cache_hits >= 1)
 
-(* --- regression: overflow escalations are not ladder escalations ------------ *)
-
-(* The two counters answer different questions — "did a weaker method fail?"
-   (solver.escalations, the method ladder) vs "did machine arithmetic run
-   out of bits?" (solver.overflow_escalations, the lane fallback) — and an
-   overflowing goal must bump only the latter, in both the per-run stats and
-   the process-wide registry. *)
-let overflow_goal () =
-  let x = Ivar.fresh "x" and y = Ivar.fresh "y" in
-  let big = 1 lsl 40 in
-  let open Idx in
-  {
-    Constr.goal_vars = [ (x, Sint); (y, Sint) ];
-    goal_hyps =
-      [
-        Bcmp (Rle, Imul (Iconst big, Ivar x), Ivar y);
-        Bcmp (Rle, Ivar y, Imul (Iconst big, Ivar x));
-      ];
-    goal_concl = Bcmp (Rle, Ivar y, Iconst 0);
-  }
-
-let test_overflow_escalations_separate () =
-  let g = overflow_goal () in
-  let c_overflow = Metrics.counter "solver.overflow_escalations" in
-  let c_ladder = Metrics.counter "solver.escalations" in
-  let c_native = Metrics.counter "solver.native_solves" in
-  let overflow0 = Metrics.value c_overflow
-  and ladder0 = Metrics.value c_ladder
-  and native0 = Metrics.value c_native in
-  let stats = Solver.new_stats () in
-  let v = Solver.check_goal ~method_:Solver.Fm_plain ~lane:Solver.Lane_native ~stats g in
-  Alcotest.(check bool) "the overflowing goal still gets a verdict" true
-    (v = Solver.check_goal ~method_:Solver.Fm_plain ~lane:Solver.Lane_bignum g);
-  Alcotest.(check bool) "stats: overflow escalation recorded" true
-    (stats.Solver.overflow_escalations >= 1);
-  Alcotest.(check int) "stats: ladder escalations untouched" 0 stats.Solver.escalations;
-  Alcotest.(check bool) "registry: solver.overflow_escalations bumped" true
-    (Metrics.value c_overflow - overflow0 >= 1);
-  Alcotest.(check int) "registry: solver.escalations untouched" 0
-    (Metrics.value c_ladder - ladder0);
-  (* a re-solve that never overflows completes natively and counts there *)
-  let stats' = Solver.new_stats () in
-  let g' = tighten_goal () in
-  ignore (Solver.check_goal ~method_:Solver.Fm_tightened ~lane:Solver.Lane_native ~stats:stats' g');
-  Alcotest.(check bool) "stats: native solve recorded on the fast path" true
-    (stats'.Solver.native_solves >= 1);
-  Alcotest.(check int) "stats: fast path never overflow-escalates" 0
-    stats'.Solver.overflow_escalations;
-  Alcotest.(check bool) "registry: solver.native_solves bumped" true
-    (Metrics.value c_native - native0 >= 1)
-
 (* --------------------------------------------------------------------------- *)
 
 let () =
@@ -393,7 +342,5 @@ let () =
             test_tier_stable_under_clock;
           Alcotest.test_case "cache hits are not escalations" `Quick
             test_escalations_not_counted_on_hits;
-          Alcotest.test_case "overflow escalations are not ladder escalations" `Quick
-            test_overflow_escalations_separate;
         ] );
     ]

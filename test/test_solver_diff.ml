@@ -8,6 +8,7 @@
    that the cache canonicalizer maps all three onto the same digest, so a
    cached verdict is replayed for exactly the goals it is valid for. *)
 
+open Dml_numeric
 open Dml_index
 open Dml_constr
 module Solver = Dml_solver.Solver
@@ -100,25 +101,40 @@ let methods =
 
 (* --- random-assignment falsification ------------------------------------------ *)
 
+(* Exact evaluation: the large-coefficient goals below overflow native
+   arithmetic at the assignments the oracle tries.  [div]/[mod] floor, as in
+   the index language. *)
+let rec eval_texp env = function
+  | Tvar i -> env.(i mod Array.length env)
+  | Tconst c -> Bigint.of_int c
+  | Tadd (a, b) -> Bigint.add (eval_texp env a) (eval_texp env b)
+  | Tsub (a, b) -> Bigint.sub (eval_texp env a) (eval_texp env b)
+  | Tmulc (k, e) -> Bigint.mul_int (eval_texp env e) k
+  | Tdiv (e, d) -> Bigint.fdiv (eval_texp env e) (Bigint.of_int d)
+  | Tmod (e, d) -> Bigint.fmod (eval_texp env e) (Bigint.of_int d)
+
+let holds env a =
+  let c = Bigint.compare (eval_texp env a.ta_lhs) (eval_texp env a.ta_rhs) in
+  match a.ta_rel with
+  | Idx.Rlt -> c < 0
+  | Idx.Rle -> c <= 0
+  | Idx.Req -> c = 0
+  | Idx.Rne -> c <> 0
+  | Idx.Rge -> c >= 0
+  | Idx.Rgt -> c > 0
+
 (* a deterministic spread of assignments in [-6..6]; if some assignment
    satisfies every hypothesis and falsifies the conclusion, the goal is not
    valid and no method may claim otherwise *)
 let counterexample_assignment tg =
-  let vars = fresh_vars tg in
-  let g = goal_with_vars vars tg in
   let found = ref None in
   (try
      for trial = 0 to 39 do
        let env =
-         Array.to_seq vars
-         |> Seq.mapi (fun j v ->
-                (v, Idx.Vint ((((trial * 7) + (j * 13) + (trial * trial * 3)) mod 13) - 6)))
-         |> Ivar.Map.of_seq
+         Array.init tg.tg_nvars (fun j ->
+             Bigint.of_int ((((trial * 7) + (j * 13) + (trial * trial * 3)) mod 13) - 6))
        in
-       if
-         List.for_all (fun h -> Idx.eval_bexp env h) g.Constr.goal_hyps
-         && not (Idx.eval_bexp env g.Constr.goal_concl)
-       then begin
+       if List.for_all (holds env) tg.tg_hyps && not (holds env tg.tg_concl) then begin
          found := Some env;
          raise Exit
        end
@@ -270,14 +286,13 @@ let diff_test =
   QCheck.Test.make ~count:1000 ~name:"fm vs simplex differential" (arb_tgoal ~div:true)
     (fun tg -> differential tg && lazy_matches_eager tg)
 
-(* --- lane parity: the machine-int fast path vs bignum --------------------------- *)
+(* --- large coefficients ------------------------------------------------------- *)
 
 (* Adversarial coefficient generator: atoms of the shape [K*v_i <= v_j + c]
    with K near max_int/2, so that eliminating v_i combines two constraints
-   whose coefficients multiply to ~K^2 — far past 63 bits.  Chained over
-   several hypotheses this forces the native lane through its overflow
-   escalation; smaller K (2^20, 2^31) exercise goals that stay native all
-   the way through. *)
+   whose coefficients multiply to ~K^2 — far past 63 bits, on the limb path
+   of [Bigint].  Smaller K (2^20, 2^31) give goals that stay in the native
+   range all the way through. *)
 let gen_adversarial =
   let open QCheck.Gen in
   int_range 2 3 >>= fun nvars ->
@@ -295,31 +310,16 @@ let gen_adversarial =
     (list_size (int_range 1 4) atom)
     atom
 
-(* ~3/4 ordinary goals (native fast path all the way), ~1/4 adversarial
-   (forced escalation): parity must hold across the boundary *)
+(* ~3/4 ordinary goals, ~1/4 adversarial: the differential and the
+   falsification oracle must hold across the native/limb boundary *)
 let gen_mixed =
   QCheck.Gen.frequency [ (3, gen_tgoal ~div:true); (1, gen_adversarial) ]
 
 let arb_mixed = QCheck.make ~print:print_tgoal ~shrink:shrink_tgoal gen_mixed
 
-(* Bit-for-bit verdict equality, hints included: the native lane either
-   completes with the exact verdict the bignum lane would compute (the
-   algorithms mirror each other's deterministic choices) or overflows and
-   re-solves on bignum — in both cases the observable answer is identical. *)
-let lane_parity tg =
-  let g = goal_of_tgoal tg in
-  List.for_all
-    (fun (m, name) ->
-      let native = Solver.check_goal ~method_:m ~lane:Solver.Lane_native g in
-      let bignum = Solver.check_goal ~method_:m ~lane:Solver.Lane_bignum g in
-      if native <> bignum then
-        QCheck.Test.fail_reportf "lanes disagree under %s: native=%s bignum=%s" name
-          (Solver.verdict_slug native) (Solver.verdict_slug bignum);
-      true)
-    methods
-
-let lane_test =
-  QCheck.Test.make ~count:1000 ~name:"native vs bignum lane parity" arb_mixed lane_parity
+let diff_large_test =
+  QCheck.Test.make ~count:1000 ~name:"fm vs simplex differential past max_int" arb_mixed
+    (fun tg -> differential tg && lazy_matches_eager tg)
 
 (* --- metamorphic properties ----------------------------------------------------- *)
 
@@ -474,32 +474,45 @@ let test_divisibility_separation () =
 
 (* big*x <= y /\ y <= big*x |- y <= 0 with big = 2^40: eliminating x pairs
    the two hypotheses, and the combination multiplies big by big — past 63
-   bits.  The native lane must raise internally, escalate once, and still
-   hand back exactly the bignum verdict; the ladder counter (method
-   escalation) must stay untouched. *)
-let test_forced_overflow_escalation () =
-  let x = Ivar.fresh "x" and y = Ivar.fresh "y" in
+   bits — before the products cancel.  The goal is decided exactly (x = 1,
+   y = big refutes it).  Its products cancel, so no stored coefficient
+   leaves the native range; with pairwise-coprime coefficients near 2^40
+   they do not:  p*x <= q*y /\ s*z <= r*x /\ 0 < z |- 0 < y  eliminates x
+   first, into  p*s*z - r*q*y <= 0, and the Fourier statistics witness it. *)
+let test_large_coefficients () =
+  let x = Ivar.fresh "x" and y = Ivar.fresh "y" and z = Ivar.fresh "z" in
+  let iv v = Idx.Ivar v and k n = Idx.Iconst n in
+  let le a b = Idx.Bcmp (Idx.Rle, a, b) and lt a b = Idx.Bcmp (Idx.Rlt, a, b) in
+  let times n v = Idx.Imul (k n, iv v) in
   let big = 1 lsl 40 in
   let g =
     {
       Constr.goal_vars = [ (x, Idx.Sint); (y, Idx.Sint) ];
-      goal_hyps =
-        [
-          Idx.Bcmp (Idx.Rle, Idx.Imul (Idx.Iconst big, Idx.Ivar x), Idx.Ivar y);
-          Idx.Bcmp (Idx.Rle, Idx.Ivar y, Idx.Imul (Idx.Iconst big, Idx.Ivar x));
-        ];
-      goal_concl = Idx.Bcmp (Idx.Rle, Idx.Ivar y, Idx.Iconst 0);
+      goal_hyps = [ le (times big x) (iv y); le (iv y) (times big x) ];
+      goal_concl = le (iv y) (k 0);
     }
   in
-  let sn = Solver.new_stats () in
-  let vn = Solver.check_goal ~method_:Solver.Fm_plain ~lane:Solver.Lane_native ~stats:sn g in
-  let sb = Solver.new_stats () in
-  let vb = Solver.check_goal ~method_:Solver.Fm_plain ~lane:Solver.Lane_bignum ~stats:sb g in
-  Alcotest.(check bool) "lanes agree on the overflowing goal" true (vn = vb);
-  Alcotest.(check bool) "native lane overflow-escalated" true
-    (sn.Solver.overflow_escalations >= 1);
-  Alcotest.(check int) "ladder escalations untouched by overflow" 0 sn.Solver.escalations;
-  Alcotest.(check int) "bignum lane never overflow-escalates" 0 sb.Solver.overflow_escalations
+  let stats = Solver.new_stats () in
+  let v = Solver.check_goal ~method_:Solver.Fm_plain ~stats g in
+  Alcotest.(check string) "decided not valid" "not-valid" (Solver.verdict_slug v);
+  Alcotest.(check int) "no ladder escalation" 0 stats.Solver.escalations;
+  let p = big + 1 and q = big + 3 and r = big + 7 and s' = big + 9 in
+  let g' =
+    {
+      Constr.goal_vars = [ (x, Idx.Sint); (y, Idx.Sint); (z, Idx.Sint) ];
+      goal_hyps = [ le (times p x) (times q y); le (times s' z) (times r x); lt (k 0) (iv z) ];
+      goal_concl = lt (k 0) (iv y);
+    }
+  in
+  List.iter
+    (fun (m, name) ->
+      let stats = Solver.new_stats () in
+      Alcotest.(check string) (name ^ " proves the coprime goal") "valid"
+        (Solver.verdict_slug (Solver.check_goal ~method_:m ~stats g'));
+      if m <> Solver.Simplex_rational then
+        Alcotest.(check bool) (name ^ ": a coefficient past max_int was stored") true
+          (Bigint.gt stats.Solver.fm.Dml_solver.Fourier.max_coeff (Bigint.of_int max_int)))
+    methods
 
 (* 2x = 1 |- false: integrally absurd, rationally satisfiable at x = 1/2.
    The integer witness walk cannot represent that point (floor division used
@@ -561,16 +574,15 @@ let test_tightening_not_monotone () =
 let () =
   Alcotest.run "solver-diff"
     [
-      ("differential", [ QCheck_alcotest.to_alcotest diff_test ]);
-      ("lane-parity", [ QCheck_alcotest.to_alcotest lane_test ]);
+      ("differential", List.map QCheck_alcotest.to_alcotest [ diff_test; diff_large_test ]);
       ("metamorphic", List.map QCheck_alcotest.to_alcotest meta_tests);
       ( "regressions",
         [
           Alcotest.test_case "figure 4 binary search goals" `Quick test_bsearch_regression;
           Alcotest.test_case "divisibility separates the methods" `Quick
             test_divisibility_separation;
-          Alcotest.test_case "overflow escalates to the bignum lane" `Quick
-            test_forced_overflow_escalation;
+          Alcotest.test_case "coefficients past max_int decide exactly" `Quick
+            test_large_coefficients;
           Alcotest.test_case "fractional witness survives reconstruction" `Quick
             test_fractional_witness;
           Alcotest.test_case "tightening is not monotone" `Quick test_tightening_not_monotone;
