@@ -114,20 +114,22 @@ let test_nonaffine_stable () =
 
 (* --- the benchmark corpus: functionality and no collisions ------------------ *)
 
-let corpus_goals () =
+(* every corpus obligation after existential elimination, in program order *)
+let corpus_eliminated () =
   List.concat_map
     (fun (b : Dml_programs.Programs.benchmark) ->
       match Pipeline.check_s (Session.create ()) b.Dml_programs.Programs.source with
       | Error _ -> []
       | Ok r ->
-          List.concat_map
-            (fun co ->
-              let c =
-                Constr.eliminate_existentials co.Pipeline.co_obligation.Elab.ob_constr
-              in
-              match Constr.goals c with Ok gs -> gs | Error _ -> [])
+          List.map
+            (fun co -> Constr.eliminate_existentials co.Pipeline.co_obligation.Elab.ob_constr)
             r.Pipeline.rp_obligations)
     Dml_programs.Programs.all
+
+let corpus_goals () =
+  List.concat_map
+    (fun c -> match Constr.goals c with Ok gs -> gs | Error _ -> [])
+    (corpus_eliminated ())
 
 let test_corpus_no_collisions () =
   let goals = corpus_goals () in
@@ -148,6 +150,21 @@ let test_corpus_no_collisions () =
   Alcotest.(check bool) "several digest classes" true (classes > 1);
   Alcotest.(check bool) "goals shared across the corpus" true
     (classes < List.length goals)
+
+(* The canonical strings and the eliminated obligations of the whole corpus,
+   pinned by MD5 (each string followed by a newline): a refactoring of the
+   affine layer that changes one canonical form, and so one persistent cache
+   key, or one existential witness, fails here. *)
+let md5_lines strings =
+  Digest.to_hex (Digest.string (String.concat "" (List.map (fun s -> s ^ "\n") strings)))
+
+let test_corpus_pinned () =
+  let goals = corpus_goals () in
+  Alcotest.(check int) "corpus goal count" 231 (List.length goals);
+  Alcotest.(check string) "canonical forms" "bc03a57b336a900c864efab3f9950bb5"
+    (md5_lines (List.map Canon.canonical goals));
+  Alcotest.(check string) "eliminated obligations" "c4227e207f68156bc338a0b789f61ddd"
+    (md5_lines (List.map Constr.to_string (corpus_eliminated ())))
 
 (* --- LRU eviction ----------------------------------------------------------- *)
 
@@ -522,6 +539,7 @@ let () =
           Alcotest.test_case "distinct goals" `Quick test_distinct_goals_differ;
           Alcotest.test_case "non-affine atoms" `Quick test_nonaffine_stable;
           Alcotest.test_case "corpus collisions" `Quick test_corpus_no_collisions;
+          Alcotest.test_case "corpus digests pinned" `Quick test_corpus_pinned;
         ] );
       ( "store",
         [
