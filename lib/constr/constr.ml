@@ -1,5 +1,4 @@
 open Dml_index
-module Bigint = Dml_numeric.Bigint
 
 type t =
   | Top
@@ -99,72 +98,13 @@ let to_string phi = Format.asprintf "%a" pp phi
 
 (* --- Solving a linear equation for a variable ------------------------- *)
 
-(* A partial linear view of an index expression: constant + coefficient map.
-   Returns None on any construct that is not affine (div, mod, min, ...),
-   any product of two non-constant parts, or any constant or coefficient
-   outside the native range ([min_int] included, so negating one is exact). *)
-let linear_view e =
-  let open Idx in
-  let exception Overflow in
-  let exact op x y =
-    match exact_int op x y with Some n when n <> min_int -> n | _ -> raise Overflow
-  in
-  let rec go = function
-    | Ivar v -> Some (0, Ivar.Map.singleton v 1)
-    | Iconst n -> if n = min_int then raise Overflow else Some (n, Ivar.Map.empty)
-    | Iadd (a, b) -> combine Bigint.add a b
-    | Isub (a, b) -> combine Bigint.sub a b
-    | Ineg a -> Option.map (fun (c, m) -> (-c, Ivar.Map.map (fun k -> -k) m)) (go a)
-    | Imul (Iconst k, a) | Imul (a, Iconst k) ->
-        let scale = exact Bigint.mul k in
-        Option.map (fun (c, m) -> (scale c, Ivar.Map.map scale m)) (go a)
-    | Imul _ | Idiv _ | Imod _ | Imin _ | Imax _ | Iabs _ | Isgn _ -> None
-  and combine op a b =
-    match (go a, go b) with
-    | Some (ca, ma), Some (cb, mb) ->
-        let m =
-          Ivar.Map.merge
-            (fun _ x y ->
-              let v = exact op (Option.value x ~default:0) (Option.value y ~default:0) in
-              if v = 0 then None else Some v)
-            ma mb
-        in
-        Some (exact op ca cb, m)
-    | _ -> None
-  in
-  match go e with view -> view | exception Overflow -> None
-
-(* Rebuild an index expression from a linear view. *)
-let of_linear_view (c, m) =
-  let open Idx in
-  let terms =
-    Ivar.Map.fold
-      (fun v k acc -> if k = 0 then acc else (v, k) :: acc)
-      m []
-  in
-  let add_term acc (v, k) =
-    let t = if k = 1 then Ivar v else imul (Iconst k) (Ivar v) in
-    match acc with None -> Some t | Some e -> Some (iadd e t)
-  in
-  let e = List.fold_left add_term None (List.rev terms) in
-  match e with
-  | None -> Iconst c
-  | Some e -> if c = 0 then e else iadd e (Iconst c)
-
 let solve_equation_for a b =
   match b with
-  | Idx.Bcmp (Idx.Req, lhs, rhs) -> (
-      match linear_view (Idx.isub lhs rhs) with
-      | None -> None
-      | Some (c, m) -> (
-          match Ivar.Map.find_opt a m with
-          | Some k when k = 1 || k = -1 ->
-              (* a*k + rest + c = 0  =>  a = -(rest + c)/k *)
-              let rest = Ivar.Map.remove a m in
-              let flip = if k = 1 then -1 else 1 in
-              let sol = (flip * c, Ivar.Map.map (fun x -> flip * x) rest) in
-              Some (of_linear_view sol)
-          | _ -> None))
+  | Idx.Bcmp (Idx.Req, lhs, rhs) ->
+      let ( let* ) = Option.bind in
+      let* f = Linear.of_iexp (Idx.isub lhs rhs) in
+      let* e = Linear.solve_for a f in
+      Linear.to_iexp e
   | _ -> None
 
 (* Collect candidate equations usable to define an existential witness.  We

@@ -60,7 +60,9 @@ val eliminate_existentials : t -> t
 val solve_equation_for : Ivar.t -> Idx.bexp -> Idx.iexp option
 (** [solve_equation_for a b] returns [Some e] when [b] is an equation linear
     in [a] with unit coefficient, solved as [a = e] with [a] not free in
-    [e]. *)
+    [e].  The equation is solved exactly ({!Linear.solve_for}); [None] when
+    a coefficient or the constant of the solution does not fit in an [int]
+    ({!Linear.to_iexp}). *)
 
 (** {1 Goal extraction} *)
 

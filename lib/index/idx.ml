@@ -29,11 +29,12 @@ type sort = Sint | Sbool | Ssubset of Ivar.t * sort * bexp
 let ivar v = Ivar v
 let iconst n = Iconst n
 
-let exact_int op x y = Bigint.to_int (op (Bigint.of_int x) (Bigint.of_int y))
-
 (* Constants fold exactly; a result outside the [int] range leaves the node
-   unfolded, and the solver's exact translation computes it. *)
-let fold op node x y = match exact_int op x y with Some n -> Iconst n | None -> node
+   unfolded, and the exact affine layer ([Dml_constr.Linear]) computes it. *)
+let fold op node x y =
+  match Bigint.to_int (op (Bigint.of_int x) (Bigint.of_int y)) with
+  | Some n -> Iconst n
+  | None -> node
 
 let iadd a b =
   match (a, b) with
@@ -158,36 +159,34 @@ let rec equal_bexp x y =
   | Band (a, b), Band (c, d) | Bor (a, b), Bor (c, d) -> equal_bexp a c && equal_bexp b d
   | (Bvar _ | Bconst _ | Bcmp _ | Bnot _ | Band _ | Bor _), _ -> false
 
-type value = Vint of int | Vbool of bool
-
-let fdiv a b = if b = 0 then raise Division_by_zero else (a - ((a mod b) + b) mod b) / b
-let fmod a b = if b = 0 then raise Division_by_zero else ((a mod b) + b) mod b
+type value = Vint of Bigint.t | Vbool of bool
 
 let rec eval_iexp env = function
   | Ivar v -> (
       match Ivar.Map.find v env with
       | Vint n -> n
       | Vbool _ -> invalid_arg "Idx.eval_iexp: boolean variable in integer position")
-  | Iconst n -> n
-  | Iadd (a, b) -> eval_iexp env a + eval_iexp env b
-  | Isub (a, b) -> eval_iexp env a - eval_iexp env b
-  | Ineg a -> -eval_iexp env a
-  | Imul (a, b) -> eval_iexp env a * eval_iexp env b
-  | Idiv (a, b) -> fdiv (eval_iexp env a) (eval_iexp env b)
-  | Imod (a, b) -> fmod (eval_iexp env a) (eval_iexp env b)
-  | Imin (a, b) -> Stdlib.min (eval_iexp env a) (eval_iexp env b)
-  | Imax (a, b) -> Stdlib.max (eval_iexp env a) (eval_iexp env b)
-  | Iabs a -> Stdlib.abs (eval_iexp env a)
-  | Isgn a -> Stdlib.compare (eval_iexp env a) 0
+  | Iconst n -> Bigint.of_int n
+  | Iadd (a, b) -> Bigint.add (eval_iexp env a) (eval_iexp env b)
+  | Isub (a, b) -> Bigint.sub (eval_iexp env a) (eval_iexp env b)
+  | Ineg a -> Bigint.neg (eval_iexp env a)
+  | Imul (a, b) -> Bigint.mul (eval_iexp env a) (eval_iexp env b)
+  | Idiv (a, b) -> Bigint.fdiv (eval_iexp env a) (eval_iexp env b)
+  | Imod (a, b) -> Bigint.fmod (eval_iexp env a) (eval_iexp env b)
+  | Imin (a, b) -> Bigint.min (eval_iexp env a) (eval_iexp env b)
+  | Imax (a, b) -> Bigint.max (eval_iexp env a) (eval_iexp env b)
+  | Iabs a -> Bigint.abs (eval_iexp env a)
+  | Isgn a -> Bigint.of_int (Bigint.sign (eval_iexp env a))
 
 let holds r a b =
+  let c = Bigint.compare a b in
   match r with
-  | Rlt -> a < b
-  | Rle -> a <= b
-  | Req -> a = b
-  | Rne -> a <> b
-  | Rge -> a >= b
-  | Rgt -> a > b
+  | Rlt -> c < 0
+  | Rle -> c <= 0
+  | Req -> c = 0
+  | Rne -> c <> 0
+  | Rge -> c >= 0
+  | Rgt -> c > 0
 
 let rec eval_bexp env = function
   | Bvar v -> (

@@ -8,8 +8,10 @@
            | ~b | b /\ b | b \/ b v}
     and index sorts [int], [bool] and subset sorts [{a : g | b}].
 
-    Linearity is not enforced here; the solver's linearisation pass
-    ({!Dml_solver.Linearize}) decides which expressions it can handle. *)
+    Linearity is not enforced here: the exact affine layer
+    ({!Dml_constr.Linear}) translates the affine fragment, and the solver's
+    purification pass ({!Dml_solver.Purify}) rewrites the other operators
+    into it. *)
 
 type iexp =
   | Ivar of Ivar.t
@@ -52,11 +54,6 @@ val isub : iexp -> iexp -> iexp
 val imul : iexp -> iexp -> iexp
 (** Folds constants like {!iadd}; [1*e = e] and [0*e = 0]. *)
 
-val exact_int :
-  (Dml_numeric.Bigint.t -> Dml_numeric.Bigint.t -> Dml_numeric.Bigint.t) -> int -> int -> int option
-(** [exact_int op x y] is [op x y] computed exactly, or [None] when it does
-    not fit in an [int]. *)
-
 val band : bexp -> bexp -> bexp
 val bor : bexp -> bexp -> bexp
 val bnot : bexp -> bexp
@@ -92,17 +89,17 @@ val equal_bexp : bexp -> bexp -> bool
 
 (** {1 Evaluation} *)
 
-type value = Vint of int | Vbool of bool
+type value = Vint of Dml_numeric.Bigint.t | Vbool of bool
 
-val eval_iexp : value Ivar.Map.t -> iexp -> int
-(** ML semantics of the arithmetic operations: [div]/[mod] follow floor
+val eval_iexp : value Ivar.Map.t -> iexp -> Dml_numeric.Bigint.t
+(** Exact integer semantics (nothing wraps): [div]/[mod] follow floor
     division as in the paper's constraint interpretation.
     @raise Not_found on an unbound variable.
     @raise Division_by_zero accordingly. *)
 
 val eval_bexp : value Ivar.Map.t -> bexp -> bool
 
-val holds : rel -> int -> int -> bool
+val holds : rel -> Dml_numeric.Bigint.t -> Dml_numeric.Bigint.t -> bool
 
 (** {1 Printing} *)
 

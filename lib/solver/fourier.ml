@@ -1,7 +1,7 @@
 open Dml_numeric
 open Dml_index
 module B = Bigint
-module L = Linear
+module L = Dml_constr.Linear
 
 type verdict = Unsat | Sat
 
@@ -32,29 +32,21 @@ let norm ~tighten c =
 
 let norm_all ~tighten cs = List.filter_map (norm ~tighten) cs
 
+(* An equality's first unit-coefficient variable, with its image. *)
+let unit_solution c =
+  if c.L.kind <> L.Eq then None
+  else
+    Ivar.Map.to_seq c.L.form.L.coeffs
+    |> Seq.find_map (fun (v, _) -> Option.map (fun image -> (v, image)) (L.solve_for v c.L.form))
+
 (* Gaussian elimination of equalities that contain a unit-coefficient
    variable: substitute and drop, shrinking the system before the
    exponential phase. *)
 let rec gauss ~tighten cs =
-  let is_unit_eq c =
-    c.L.kind = L.Eq
-    && Ivar.Map.exists (fun _ k -> B.equal (B.abs k) B.one) c.L.form.L.coeffs
-  in
-  match List.partition is_unit_eq cs with
+  match List.partition (fun c -> Option.is_some (unit_solution c)) cs with
   | [], rest -> rest
   | eq :: other_eqs, rest ->
-      let v, s =
-        (* pick any unit variable of the chosen equality *)
-        let binding =
-          Ivar.Map.to_seq eq.L.form.L.coeffs
-          |> Seq.filter (fun (_, k) -> B.equal (B.abs k) B.one)
-          |> fun s -> match s () with Seq.Cons (b, _) -> b | Seq.Nil -> assert false
-        in
-        binding
-      in
-      (* s*v + rest = 0  =>  v = -s * rest  (s is +-1) *)
-      let rest_form = L.remove v eq.L.form in
-      let image = L.scale (B.neg s) rest_form in
+      let v, image = Option.get (unit_solution eq) in
       let substitute c =
         let k = L.coeff v c.L.form in
         if B.is_zero k then c

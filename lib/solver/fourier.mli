@@ -9,6 +9,7 @@
 
 open Dml_numeric
 open Dml_index
+open Dml_constr
 
 type verdict = Unsat | Sat
 

@@ -1,6 +1,6 @@
 open Dml_numeric
 open Dml_index
-module L = Linear
+module L = Dml_constr.Linear
 
 type verdict = Unsat | Sat
 

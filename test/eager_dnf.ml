@@ -4,6 +4,7 @@
    Same literals, same cap, same hint; no budget. *)
 
 open Dml_index
+open Dml_constr
 open Dml_solver
 
 let dnf f =

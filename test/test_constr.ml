@@ -44,8 +44,9 @@ let test_solve_equation () =
   (* a + 1 = n  =>  a = n - 1 *)
   (match Constr.solve_equation_for a (eq (Iadd (Ivar a, Iconst 1)) (Ivar n)) with
   | Some e ->
-      Alcotest.(check int) "a = n-1 at n=5" 4
-        (eval_iexp (Ivar.Map.singleton n (Vint 5)) e)
+      Alcotest.(check string) "a = n-1 at n=5" "4"
+        (Dml_numeric.Bigint.to_string
+           (eval_iexp (Ivar.Map.singleton n (Vint (Dml_numeric.Bigint.of_int 5))) e))
   | None -> Alcotest.fail "no solution for a+1 = n");
   (* n = 2*a has coefficient 2: not solvable with unit coefficient *)
   Alcotest.(check bool) "2a unsolvable" true
@@ -53,16 +54,67 @@ let test_solve_equation () =
   (* a = a + 1 is not a definition of a *)
   Alcotest.(check bool) "self-referential a" true
     (Constr.solve_equation_for a (eq (Ivar a) (Iadd (Ivar a, Iconst 1))) = None);
-  (* a coefficient past max_int is not a native linear view *)
+  (* a solution whose coefficient or constant does not fit in an [int] has
+     no index expression *)
   Alcotest.(check bool) "overflowing coefficient" true
     (Constr.solve_equation_for a
        (eq (Ivar a) (Imul (Iconst (1 lsl 40), Imul (Iconst (1 lsl 40), Ivar n))))
     = None);
   Alcotest.(check bool) "overflowing constant" true
     (Constr.solve_equation_for a (eq (Ivar a) (Iadd (Iconst max_int, Iconst 2))) = None);
+  (* the equation is solved exactly: an intermediate sum past max_int is no
+     obstacle when the solution fits *)
+  (match
+     Constr.solve_equation_for a
+       (eq (Ivar a) (Isub (Iadd (Iconst max_int, Iconst 2), Iconst 3)))
+   with
+  | Some e -> Alcotest.(check bool) "a = max_int - 1" true (equal_iexp e (Iconst (max_int - 1)))
+  | None -> Alcotest.fail "no solution for a = max_int + 2 - 3");
   (* non-affine contexts are rejected *)
   Alcotest.(check bool) "div blocks solving" true
     (Constr.solve_equation_for a (eq (Ivar a) (Idiv (Ivar n, Iconst 2))) = None)
+
+(* --- the exact affine layer ----------------------------------------------- *)
+
+module B = Dml_numeric.Bigint
+
+let pool = Array.init 4 (fun i -> v (Printf.sprintf "x%d" i))
+
+(* forms over a small variable pool whose coefficients and constant are
+   drawn from the whole [int] range, with a bias towards unit coefficients *)
+let gen_form =
+  let open QCheck.Gen in
+  let num = frequency [ (2, return 1); (2, return (-1)); (3, int_range (-9) 9); (3, int) ] in
+  let add_term coeffs (i, k) =
+    if k = 0 then Ivar.Map.remove pool.(i) coeffs else Ivar.Map.add pool.(i) (B.of_int k) coeffs
+  in
+  map2
+    (fun terms c ->
+      { Linear.const = B.of_int c; coeffs = List.fold_left add_term Ivar.Map.empty terms })
+    (list_size (int_range 0 4) (pair (int_bound 3) num))
+    num
+
+let arb_form = QCheck.make ~print:(Format.asprintf "%a" Linear.pp_form) gen_form
+
+let prop_to_iexp_roundtrip =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:500 ~name:"of_iexp (to_iexp f) = f" arb_form (fun f ->
+         match Linear.to_iexp f with
+         | Some e -> Option.equal Linear.equal (Linear.of_iexp e) (Some f)
+         | None -> false))
+
+let prop_solve_for =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:500 ~name:"solve_for image satisfies the equation"
+       QCheck.(pair (int_bound 3) arb_form)
+       (fun (i, f) ->
+         let x = pool.(i) in
+         match Linear.solve_for x f with
+         | None -> not (B.equal (B.abs (Linear.coeff x f)) B.one)
+         | Some e ->
+             (not (Ivar.Set.mem x (Linear.vars e)))
+             && Linear.equal Linear.zero
+                  (Linear.add (Linear.remove x f) (Linear.scale (Linear.coeff x f) e))))
 
 (* --- existential elimination (Section 3.1, reverse example) ------------- *)
 
@@ -168,4 +220,5 @@ let () =
           Alcotest.test_case "unsolvable existential" `Quick test_exelim_unsolvable;
           Alcotest.test_case "witness sort obligation" `Quick test_exelim_sort_obligation;
         ] );
+      ("linear", [ prop_to_iexp_roundtrip; prop_solve_for ]);
     ]

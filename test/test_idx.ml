@@ -1,27 +1,43 @@
 open Dml_index
 open Idx
+module Bigint = Dml_numeric.Bigint
 
 let n = Ivar.fresh "n"
 let m = Ivar.fresh "m"
 
 let env bindings =
-  List.fold_left (fun acc (v, x) -> Ivar.Map.add v (Vint x) acc) Ivar.Map.empty bindings
+  List.fold_left
+    (fun acc (v, x) -> Ivar.Map.add v (Vint (Bigint.of_int x)) acc)
+    Ivar.Map.empty bindings
+
+(* exact evaluation, read back as an [int] for the small values checked here *)
+let eval_int env e = Bigint.to_int_exn (eval_iexp env e)
 
 let test_eval_arith () =
   let e = iadd (imul (Iconst 3) (Ivar n)) (Iconst 1) in
-  Alcotest.(check int) "3n+1 at n=4" 13 (eval_iexp (env [ (n, 4) ]) e);
-  Alcotest.(check int) "min" 2 (eval_iexp (env [ (n, 2); (m, 5) ]) (Imin (Ivar n, Ivar m)));
-  Alcotest.(check int) "max" 5 (eval_iexp (env [ (n, 2); (m, 5) ]) (Imax (Ivar n, Ivar m)));
-  Alcotest.(check int) "abs" 7 (eval_iexp (env [ (n, -7) ]) (Iabs (Ivar n)));
-  Alcotest.(check int) "sgn neg" (-1) (eval_iexp (env [ (n, -7) ]) (Isgn (Ivar n)));
-  Alcotest.(check int) "sgn zero" 0 (eval_iexp (env [ (n, 0) ]) (Isgn (Ivar n)))
+  Alcotest.(check int) "3n+1 at n=4" 13 (eval_int (env [ (n, 4) ]) e);
+  Alcotest.(check int) "min" 2 (eval_int (env [ (n, 2); (m, 5) ]) (Imin (Ivar n, Ivar m)));
+  Alcotest.(check int) "max" 5 (eval_int (env [ (n, 2); (m, 5) ]) (Imax (Ivar n, Ivar m)));
+  Alcotest.(check int) "abs" 7 (eval_int (env [ (n, -7) ]) (Iabs (Ivar n)));
+  Alcotest.(check int) "sgn neg" (-1) (eval_int (env [ (n, -7) ]) (Isgn (Ivar n)));
+  Alcotest.(check int) "sgn zero" 0 (eval_int (env [ (n, 0) ]) (Isgn (Ivar n)))
 
 let test_eval_floor_div () =
   (* the constraint reading of div/mod is floor division *)
-  Alcotest.(check int) "div -7 2" (-4) (eval_iexp (env [ (n, -7) ]) (Idiv (Ivar n, Iconst 2)));
-  Alcotest.(check int) "mod -7 2" 1 (eval_iexp (env [ (n, -7) ]) (Imod (Ivar n, Iconst 2)));
+  Alcotest.(check int) "div -7 2" (-4) (eval_int (env [ (n, -7) ]) (Idiv (Ivar n, Iconst 2)));
+  Alcotest.(check int) "mod -7 2" 1 (eval_int (env [ (n, -7) ]) (Imod (Ivar n, Iconst 2)));
   Alcotest.check_raises "div by zero" Division_by_zero (fun () ->
       ignore (eval_iexp (env [ (n, 1) ]) (Idiv (Ivar n, Iconst 0))))
+
+(* Evaluation is exact: 2^61 * 4 = 2^63 is positive, where native
+   arithmetic wraps it to 0. *)
+let test_eval_exact () =
+  let big = Imul (Iconst (1 lsl 61), Iconst 4) in
+  Alcotest.(check bool) "2^61 * 4 > 0" true (eval_bexp (env []) (Bcmp (Rgt, big, Iconst 0)));
+  Alcotest.(check string) "2^61 * 4" "9223372036854775808"
+    (Bigint.to_string (eval_iexp (env []) big));
+  Alcotest.(check bool) "max_int + 1 > max_int" true
+    (eval_bexp (env []) (Bcmp (Rgt, Iadd (Iconst max_int, Iconst 1), Iconst max_int)))
 
 let test_eval_bexp () =
   let e = env [ (n, 3); (m, 5) ] in
@@ -62,7 +78,7 @@ let test_exact_folding () =
 let test_subst () =
   let s = Ivar.Map.singleton n (iadd (Ivar m) (Iconst 1)) in
   let e = subst_iexp s (iadd (Ivar n) (Ivar n)) in
-  Alcotest.(check int) "subst eval" 8 (eval_iexp (env [ (m, 3) ]) e);
+  Alcotest.(check int) "subst eval" 8 (eval_int (env [ (m, 3) ]) e);
   let b = subst_bexp s (Bcmp (Rlt, Ivar n, Iconst 10)) in
   Alcotest.(check bool) "subst bexp" true (eval_bexp (env [ (m, 3) ]) b)
 
@@ -121,7 +137,9 @@ let prop_subst_eval =
     (QCheck.Test.make ~count:300 ~name:"subst commutes with eval" gen (fun (e, x, y) ->
          (* e[n := m+x] evaluated at m=y  equals  e evaluated at n=y+x *)
          let s = Ivar.Map.singleton n (iadd (Ivar m) (Iconst x)) in
-         eval_iexp (env [ (m, y) ]) (subst_iexp s e) = eval_iexp (env [ (n, y + x) ]) e))
+         Bigint.equal
+           (eval_iexp (env [ (m, y) ]) (subst_iexp s e))
+           (eval_iexp (env [ (n, y + x) ]) e)))
 
 let () =
   Alcotest.run "idx"
@@ -131,6 +149,7 @@ let () =
           Alcotest.test_case "arithmetic" `Quick test_eval_arith;
           Alcotest.test_case "floor div" `Quick test_eval_floor_div;
           Alcotest.test_case "bexp" `Quick test_eval_bexp;
+          Alcotest.test_case "exact past max_int" `Quick test_eval_exact;
         ] );
       ( "structure",
         [

@@ -3,6 +3,7 @@
    search over it. *)
 
 open Dml_index
+open Dml_constr
 open Dml_solver
 open Idx
 
@@ -35,7 +36,10 @@ let brute_sat b =
   let found = ref false in
   for xi = -10 to 10 do
     for yi = -10 to 10 do
-      let env = Ivar.Map.add x (Vint xi) (Ivar.Map.singleton y (Vint yi)) in
+      let env =
+        Ivar.Map.add x (Vint (Dml_numeric.Bigint.of_int xi))
+          (Ivar.Map.singleton y (Vint (Dml_numeric.Bigint.of_int yi)))
+      in
       if eval_bexp env b then found := true
     done
   done;

@@ -418,7 +418,8 @@ let prop_goal_soundness =
              for xi = -8 to 8 do
                for yi = -8 to 8 do
                  let env =
-                   Ivar.Map.add x (Vint xi) (Ivar.Map.singleton y (Vint yi))
+                   Ivar.Map.add x (Vint (Dml_numeric.Bigint.of_int xi))
+                     (Ivar.Map.singleton y (Vint (Dml_numeric.Bigint.of_int yi)))
                  in
                  let holds b = eval_bexp env b in
                  if List.for_all holds hyps && not (holds concl) then ok := false

@@ -101,38 +101,22 @@ let methods =
 
 (* --- random-assignment falsification ------------------------------------------ *)
 
-(* Exact evaluation: the large-coefficient goals below overflow native
-   arithmetic at the assignments the oracle tries.  [div]/[mod] floor, as in
-   the index language. *)
-let rec eval_texp env = function
-  | Tvar i -> env.(i mod Array.length env)
-  | Tconst c -> Bigint.of_int c
-  | Tadd (a, b) -> Bigint.add (eval_texp env a) (eval_texp env b)
-  | Tsub (a, b) -> Bigint.sub (eval_texp env a) (eval_texp env b)
-  | Tmulc (k, e) -> Bigint.mul_int (eval_texp env e) k
-  | Tdiv (e, d) -> Bigint.fdiv (eval_texp env e) (Bigint.of_int d)
-  | Tmod (e, d) -> Bigint.fmod (eval_texp env e) (Bigint.of_int d)
-
-let holds env a =
-  let c = Bigint.compare (eval_texp env a.ta_lhs) (eval_texp env a.ta_rhs) in
-  match a.ta_rel with
-  | Idx.Rlt -> c < 0
-  | Idx.Rle -> c <= 0
-  | Idx.Req -> c = 0
-  | Idx.Rne -> c <> 0
-  | Idx.Rge -> c >= 0
-  | Idx.Rgt -> c > 0
-
 (* a deterministic spread of assignments in [-6..6]; if some assignment
    satisfies every hypothesis and falsifies the conclusion, the goal is not
-   valid and no method may claim otherwise *)
+   valid and no method may claim otherwise.  [Idx.eval_bexp] is exact, so
+   the large-coefficient goals below, which overflow native arithmetic at
+   these assignments, evaluate correctly. *)
 let counterexample_assignment tg =
+  let vars = fresh_vars tg in
+  let holds env a = Idx.eval_bexp env (bexp_of_tatom vars a) in
   let found = ref None in
   (try
      for trial = 0 to 39 do
        let env =
-         Array.init tg.tg_nvars (fun j ->
-             Bigint.of_int ((((trial * 7) + (j * 13) + (trial * trial * 3)) mod 13) - 6))
+         Array.to_seq vars
+         |> Seq.mapi (fun j v ->
+                (v, Idx.Vint (Bigint.of_int ((((trial * 7) + (j * 13) + (trial * trial * 3)) mod 13) - 6))))
+         |> Ivar.Map.of_seq
        in
        if List.for_all (holds env) tg.tg_hyps && not (holds env tg.tg_concl) then begin
          found := Some env;
